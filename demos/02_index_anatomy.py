@@ -3,17 +3,16 @@
 Each super node is an equivalence class: same wing number, reachable from
 one another through butterflies whose edges all sit at that level or above.
 Super edges record which classes share a butterfly. Compression then merges
-same-level nodes that are linked through strictly-higher levels.
+same-level nodes that are linked through strictly-higher levels; the result
+is the same kind of index with a merge log attached.
 """
 
 from wingsearch import (
     BipartiteGraph,
     build_equiwing,
     compress,
-    compression_ratio,
     is_forest,
     serialize,
-    serialize_comp,
 )
 
 EDGES = [
@@ -44,7 +43,7 @@ def main():
 
     comp = compress(index)
     print(f"\ncompressed: {len(comp.nodes)} super nodes "
-          f"(ratio {compression_ratio(index, comp):.2f})")
+          f"(ratio {comp.compression_ratio():.2f})")
     for merged, kept in comp.merge_log:
         print(f"  node {merged} merged into node {kept} "
               f"(level {comp.nodes[kept].level})")
@@ -55,7 +54,10 @@ def main():
           f"{len(text.splitlines())} lines; first three:")
     for line in text.splitlines()[:3]:
         print(f"  {line}")
-    print(f"compressed file is {len(serialize_comp(comp))} bytes")
+    # the same writer: a merge log switches it to the compressed layout
+    comp_text = serialize(comp)
+    print(f"compressed file is {len(comp_text)} bytes, headed "
+          f"{comp_text.splitlines()[0]!r}")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,9 @@ EDGES = [
 ]
 
 
-def show(report):
-    for line in report.lines():
+def show(report, number):
+    # the same lines `wingsearch update` prints for its mutation `number`
+    for line in report.lines(number):
         print(f"  {line}")
 
 
@@ -47,15 +48,15 @@ def main():
           f"{wing_upper_bound(g, d, 'v4', 'u6')}")
 
     print("\ninsert (v4, u6) — ties the two dense blocks together:")
-    show(apply_update(g, d, index, "insert", "v4", "u6"))
+    show(apply_update(g, d, index, "insert", "v4", "u6"), 1)
     print(f"  now: {len(index.nodes)} super nodes {snapshot(index)}")
 
     print("\ndelete (v4, u6) again — the old structure comes back:")
-    show(apply_update(g, d, index, "delete", "v4", "u6"))
+    show(apply_update(g, d, index, "delete", "v4", "u6"), 2)
     print(f"  now: {len(index.nodes)} super nodes {snapshot(index)}")
 
     print("\ndelete (v7, u6) — cracks the dense 3x3 block:")
-    show(apply_update(g, d, index, "delete", "v7", "u6"))
+    show(apply_update(g, d, index, "delete", "v7", "u6"), 3)
     print(f"  now: {len(index.nodes)} super nodes {snapshot(index)}")
 
     # the maintained index always matches a from-scratch rebuild

@@ -5,9 +5,7 @@ personalized dense-subgraph (k-wing) search."""
 from .baseline import baseline_search, canonical_wings
 from .bench import degree_buckets, run_bench
 from .compress import (
-    EquiWingCompIndex,
     compress,
-    compression_ratio,
     deserialize_comp,
     is_forest,
     query_comp,

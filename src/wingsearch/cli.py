@@ -14,20 +14,15 @@ import sys
 import time
 
 from .baseline import baseline_search
-from .compress import (
-    COMP_FORMAT_HEADER,
-    compress,
-    deserialize_comp,
-    is_forest,
-    query_comp,
-    serialize_comp,
-)
+from .compress import compress, is_forest
 from .decomposition import wing_decomposition
 from .dynamic import apply_update, apply_update_comp
 from .equiwing import (
+    COMP_FORMAT_HEADER,
     FORMAT_HEADER,
     build_equiwing,
     deserialize,
+    deserialize_comp,
     query_equiwing,
     rebuild_edge_counts,
     serialize,
@@ -60,6 +55,10 @@ def _sniff(text):
     if head == COMP_FORMAT_HEADER:
         return "comp"
     raise IndexFormatError(f"unsupported index format or version: {head!r}")
+
+
+def _parse(text, kind):
+    return deserialize(text) if kind == "equiwing" else deserialize_comp(text)
 
 
 def _parse_edge(value):
@@ -167,21 +166,17 @@ def cmd_build(args):
     decomp = wing_decomposition(graph)
     index = build_equiwing(graph, decomp)
     if args.comp:
-        comp = compress(index)
-        text = serialize_comp(comp)
-        shown = comp
-    else:
-        text = serialize(index)
-        shown = index
+        index = compress(index)
+    text = serialize(index)
     dt = time.perf_counter() - t0
     atomic_write_text(args.out, text)
     print(f"# build time {dt:.6f}s")
     print(f"format {'equiwing-comp' if args.comp else 'equiwing'}")
-    print(f"super_nodes {len(shown.nodes)}")
-    print(f"super_edges {len(shown.super_edge_set)}")
-    print(f"k_max {shown.k_max}")
+    print(f"super_nodes {len(index.nodes)}")
+    print(f"super_edges {len(index.super_edge_set)}")
+    print(f"k_max {index.k_max}")
     if args.comp:
-        print(f"compression_ratio {shown.compression_ratio():g}")
+        print(f"compression_ratio {index.compression_ratio():g}")
     print(f"# wrote {args.out}")
     return 0
 
@@ -212,10 +207,7 @@ def cmd_query(args):
             if not graph.has_vertex(args.q):
                 raise UnknownVertexError(f"vertex {args.q!r} not in graph")
         t0 = time.perf_counter()
-        if kind == "equiwing":
-            wings = query_equiwing(deserialize(text), args.q, args.k)
-        else:
-            wings = query_comp(deserialize_comp(text), args.q, args.k)
+        wings = query_equiwing(_parse(text, kind), args.q, args.k)
         dt = time.perf_counter() - t0
     print(f"# query time {dt:.6f}s")
     print(f"# wings {len(wings)}")
@@ -233,13 +225,14 @@ def cmd_update(args):
     text = _read_text(args.index)
     kind = _sniff(text)
     decomp = wing_decomposition(graph)
+    index = _parse(text, kind)
     if kind == "comp":
-        comp = deserialize_comp(text)
-        index = build_equiwing(graph, decomp)
-        _verify_index_matches(graph, decomp, comp, shadow=index)
+        loaded, index = index, build_equiwing(graph, decomp)
+        _verify_index_matches(graph, decomp, loaded, shadow=index)
+        # the file's merge log names ids of the build that wrote it, so it
+        # cannot serve as the partial-recompression base for this build
+        comp = compress(index)
     else:
-        comp = None
-        index = deserialize(text)
         _verify_index_matches(graph, decomp, index)
         rebuild_edge_counts(index, graph, decomp.wing_number)
     total0 = time.perf_counter()
@@ -253,20 +246,10 @@ def cmd_update(args):
             report = apply_update(graph, decomp, index, mkind, u, v)
         dt = time.perf_counter() - t0
         print(f"# mutation {i} time {dt:.6f}s")
-        print(f"mutation {i} {mkind} {u} {v}")
-        if mkind == "insert":
-            print(f"upper_bound {report.upper_bound}")
-            print(f"delta {report.delta}")
-        print(f"affected_edges {len(report.affected_edges)}")
-        print(f"affected_super_nodes {len(report.affected_nodes)}")
-        ids = " ".join(str(s) for s in sorted(report.affected_nodes))
-        print(f"affected_super_node_ids {ids if ids else '-'}")
-        print(f"changed_wing_numbers {len(report.changed)}")
-        print(f"fell_back {'yes' if report.fell_back else 'no'}")
-        for ev in report.events:
-            print(f"event {ev}")
+        for line in report.lines(i):
+            print(line)
     print(f"# total update time {time.perf_counter() - total0:.6f}s")
-    out_text = serialize_comp(comp) if kind == "comp" else serialize(index)
+    out_text = serialize(comp if kind == "comp" else index)
     save_edge_list(graph, args.graph)
     atomic_write_text(args.index, out_text)
     print(f"# wrote {args.graph}")
@@ -277,7 +260,7 @@ def cmd_update(args):
 def cmd_stats(args):
     text = _read_text(args.index)
     kind = _sniff(text)
-    index = deserialize(text) if kind == "equiwing" else deserialize_comp(text)
+    index = _parse(text, kind)
     print(f"format {'equiwing' if kind == 'equiwing' else 'equiwing-comp'}")
     print(f"super_nodes {len(index.nodes)}")
     print(f"super_edges {len(index.super_edge_set)}")
@@ -308,7 +291,7 @@ def cmd_bench(args):
     engines = [
         ("baseline", lambda q, k: baseline_search(graph, decomp, q, k)),
         ("equiwing", lambda q, k: query_equiwing(index, q, k)),
-        ("comp", lambda q, k: query_comp(comp, q, k)),
+        ("comp", lambda q, k: query_equiwing(comp, q, k)),
     ]
     rows = run_bench(
         graph,

@@ -5,32 +5,20 @@ answer identically for every query at k, so they merge into one node.
 Levels are independent, which is what makes partial recompression after an
 update sound. The merged node keeps the smallest participating id and the
 merge log records old -> kept mappings so files stay self-describing.
+
+The result is an EquiWingIndex with `merge_log` set, so it is answered by the
+same walk and written by the same serializer: `query_comp` and
+`serialize_comp` are aliases of `query_equiwing` and `serialize`, and
+`deserialize_comp` is the reader that accepts only the compressed header.
 """
 
 from .equiwing import (
     EquiWingIndex,
-    LineReader,
     SuperNode,
-    _checksum,
-    _int,
-    _verify_checksum,
+    deserialize_comp,
+    query_equiwing as query_comp,
+    serialize as serialize_comp,
 )
-from .errors import IndexFormatError
-
-COMP_FORMAT_HEADER = "EQUIWING-COMP v1"
-
-
-class EquiWingCompIndex(EquiWingIndex):
-    def __init__(self):
-        super().__init__()
-        self.merge_log = []  # sorted (old_id, kept_id) pairs, old != kept
-
-    def compression_ratio(self):
-        """Ratio of plain super node count to compressed count, recoverable
-        from the compressed file alone."""
-        if not self.nodes:
-            return 1.0
-        return (len(self.nodes) + len(self.merge_log)) / len(self.nodes)
 
 
 def _level_merge_groups(index, level):
@@ -86,7 +74,7 @@ def compress(index, levels=None, base=None):
             for sid in group[1:]:
                 keep_of[sid] = kept
 
-    comp = EquiWingCompIndex()
+    comp = EquiWingIndex()
     members = {}
     for sid, node in index.nodes.items():
         members.setdefault(keep_of[sid], set()).update(node.members)
@@ -102,41 +90,6 @@ def compress(index, levels=None, base=None):
     comp.refresh_k_max()
     comp._adjacency = None
     return comp
-
-
-def compression_ratio(index, comp):
-    if not comp.nodes:
-        return 1.0
-    return len(index.nodes) / len(comp.nodes)
-
-
-def query_comp(index, q, k, counters=None, seed_mode="seeds"):
-    """Same contract as query_equiwing. seed_mode picks how seeds are found:
-    'seeds' (default) uses the per-vertex seed map, 'levels' scans nodes of
-    level >= k for ones containing q; both give identical seeds, the scan is
-    just slower on big indices."""
-    from .equiwing import _component_wings
-
-    if k < 1:
-        k = 1
-    if seed_mode == "seeds":
-        seed_ids = [
-            sid
-            for sid in index.vertex_seeds.get(q, ())
-            if index.nodes[sid].level >= k
-        ]
-    elif seed_mode == "levels":
-        seed_ids = []
-        for sid, node in index.nodes.items():
-            if node.level < k:
-                continue
-            for u, v in node.members:
-                if u == q or v == q:
-                    seed_ids.append(sid)
-                    break
-    else:
-        raise ValueError(f"unknown seed_mode {seed_mode!r}")
-    return _component_wings(index, seed_ids, k, counters)
 
 
 def is_forest(index):
@@ -158,92 +111,3 @@ def is_forest(index):
                 visited.add(nb)
                 stack.append((nb, cur))
     return True
-
-
-def serialize_comp(index):
-    lines = [COMP_FORMAT_HEADER]
-    lines.append(f"kmax {index.k_max}")
-    lines.append(f"nodes {len(index.nodes)}")
-    lines.append(f"edges {len(index.super_edge_set)}")
-    lines.append(f"merges {len(index.merge_log)}")
-    by_level = {}
-    for sn_id, node in index.nodes.items():
-        by_level.setdefault(node.level, []).append(sn_id)
-    for level in sorted(by_level):
-        lines.append(f"L {level}")
-        for sn_id in sorted(by_level[level]):
-            node = index.nodes[sn_id]
-            lines.append(f"node {sn_id} {node.level} {len(node.members)}")
-            for u, v in sorted(node.members):
-                lines.append(f"m {u} {v}")
-    for a, b in sorted(index.super_edge_set):
-        lines.append(f"sedge {a} {b}")
-    for old, kept in sorted(index.merge_log):
-        lines.append(f"M {old} {kept}")
-    body = "\n".join(lines) + "\n"
-    return body + f"checksum sha256 {_checksum(body)}\n"
-
-
-def deserialize_comp(text):
-    reader = LineReader(text, "compressed index")
-    header = reader.next()
-    if header != COMP_FORMAT_HEADER:
-        raise IndexFormatError(
-            f"unsupported index format or version: {header!r}"
-        )
-    k_max = _int(reader, reader.expect("kmax")[0])
-    n_nodes = _int(reader, reader.expect("nodes")[0])
-    n_edges = _int(reader, reader.expect("edges")[0])
-    n_merges = _int(reader, reader.expect("merges")[0])
-    index = EquiWingCompIndex()
-    remaining = n_nodes
-    current_level = None
-    while remaining > 0:
-        line = reader.next()
-        parts = line.split()
-        if parts and parts[0] == "L":
-            if len(parts) != 2:
-                raise IndexFormatError(f"{reader.what}: malformed level line")
-            current_level = _int(reader, parts[1])
-            continue
-        if not parts or parts[0] != "node":
-            raise IndexFormatError(
-                f"{reader.what}: line {reader.pos}: expected node or L line"
-            )
-        if len(parts) != 4:
-            raise IndexFormatError(f"{reader.what}: malformed node line")
-        sn_id, level, n_members = (_int(reader, p) for p in parts[1:])
-        if current_level is None or level != current_level:
-            raise IndexFormatError(
-                f"{reader.what}: node {sn_id} outside its level section"
-            )
-        members = []
-        for _ in range(n_members):
-            mp = reader.expect("m")
-            if len(mp) != 2:
-                raise IndexFormatError(f"{reader.what}: malformed member line")
-            members.append((mp[0], mp[1]))
-        index.add_node(SuperNode(sn_id, level, members))
-        remaining -= 1
-    for _ in range(n_edges):
-        ep = reader.expect("sedge")
-        if len(ep) != 2:
-            raise IndexFormatError(f"{reader.what}: malformed super edge line")
-        a, b = _int(reader, ep[0]), _int(reader, ep[1])
-        index.super_edge_set.add((min(a, b), max(a, b)))
-    for _ in range(n_merges):
-        mp = reader.expect("M")
-        if len(mp) != 2:
-            raise IndexFormatError(f"{reader.what}: malformed merge line")
-        index.merge_log.append((_int(reader, mp[0]), _int(reader, mp[1])))
-    _verify_checksum(text, reader)
-    reader.done()
-    index.refresh_k_max()
-    if index.k_max != k_max:
-        raise IndexFormatError(
-            "compressed index: kmax disagrees with node levels"
-        )
-    problems = index.validate()
-    if problems:
-        raise IndexFormatError(f"compressed index: {problems[0]}")
-    return index

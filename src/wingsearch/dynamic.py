@@ -65,13 +65,7 @@ def _prospective_partners(graph, u, v):
 def compute_delta(graph, u, v):
     """Largest number of new butterflies any single existing edge would gain
     from inserting (u, v)."""
-    if graph.has_edge(u, v):
-        raise InvalidArgumentError(f"edge ({u}, {v}) already present")
-    counts = {}
-    for u2, v2 in _prospective_partners(graph, u, v):
-        for f in ((u, v2), (u2, v), (u2, v2)):
-            counts[f] = counts.get(f, 0) + 1
-    return max(counts.values(), default=0)
+    return _insert_bound_parts(graph, {}, u, v)[1]
 
 
 def k_level_butterfly_count(graph, decomp, u, v, k):
@@ -144,21 +138,22 @@ class UpdateReport:
         self.events = []
         self.fell_back = False
 
-    def lines(self):
+    def lines(self, number=1):
+        """The CLI's payload lines for this update as mutation `number`."""
         u, v = self.edge
-        out = [f"{self.kind} {u} {v}"]
+        out = [f"mutation {number} {self.kind} {u} {v}"]
         if self.kind == "insert":
             out.append(f"upper_bound {self.upper_bound}")
             out.append(f"delta {self.delta}")
-        out.append(f"affected_edges {len(self.affected_edges)}")
-        out.append(
-            "affected_nodes "
-            + (" ".join(str(i) for i in sorted(self.affected_nodes)) or "-")
-        )
-        out.append(f"changed_wing_numbers {len(self.changed)}")
-        out.append(f"fell_back {'yes' if self.fell_back else 'no'}")
-        for ev in self.events:
-            out.append(f"event {ev}")
+        ids = " ".join(str(s) for s in sorted(self.affected_nodes))
+        out += [
+            f"affected_edges {len(self.affected_edges)}",
+            f"affected_super_nodes {len(self.affected_nodes)}",
+            f"affected_super_node_ids {ids or '-'}",
+            f"changed_wing_numbers {len(self.changed)}",
+            f"fell_back {'yes' if self.fell_back else 'no'}",
+        ]
+        out += [f"event {ev}" for ev in self.events]
         return out
 
 
@@ -597,7 +592,6 @@ def apply_update(graph, decomp, index, kind, u, v):
         rebuilt = build_equiwing(graph, decomp)
         bad = rebuilt.validate()
         if bad:
-            index.stale = True
             raise InternalConsistencyError(
                 f"index rebuild failed validation: {bad[0]}"
             )

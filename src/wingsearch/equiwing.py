@@ -12,7 +12,11 @@ level(A) < level(D). Construction assigns node ids level-ascending, ordering
 classes within a level by their smallest member edge.
 
 The index is label-based and self-sufficient: queries need only the index.
-Files carry a version header and a trailing sha256 checksum.
+Compression (see compress.py) yields the same structure plus a merge log;
+a compressed index is an EquiWingIndex whose `merge_log` is not None, queried
+by the same walk and written by the same serializer in its own layout. Files
+carry a version header and a trailing sha256 checksum, verified before any
+other parsing.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ from .errors import IndexFormatError, InternalConsistencyError
 from .graph import butterfly_edges
 
 FORMAT_HEADER = "EQUIWING v1"
+COMP_FORMAT_HEADER = "EQUIWING-COMP v1"
 
 
 class SuperNode:
@@ -63,7 +68,9 @@ class EquiWingIndex:
         self.vertex_seeds = {}
         self._adjacency = None
         self._next_id = 1
-        self.stale = False
+        # None on a plain index; on a compressed one the sorted
+        # (old_id, kept_id) pairs, old != kept, of the merged nodes
+        self.merge_log = None
 
     # -- structure maintenance -------------------------------------------
 
@@ -124,6 +131,13 @@ class EquiWingIndex:
         self._adjacency = None
         self._next_id = other._next_id
 
+    def compression_ratio(self):
+        """Ratio of plain super node count to compressed count, recoverable
+        from the compressed index alone (1.0 for a plain index)."""
+        if not self.nodes:
+            return 1.0
+        return (len(self.nodes) + len(self.merge_log or ())) / len(self.nodes)
+
     def refresh_k_max(self):
         self.k_max = max((n.level for n in self.nodes.values()), default=0)
 
@@ -165,6 +179,13 @@ class EquiWingIndex:
                 problems.append("edge counts out of sync with super edges")
             if any(c <= 0 for c in self.edge_counts.values()):
                 problems.append("non-positive super edge count")
+        if self.merge_log is not None:
+            olds = {old for old, _kept in self.merge_log}
+            if len(olds) != len(self.merge_log) or any(
+                old in self.nodes or kept not in self.nodes
+                for old, kept in self.merge_log
+            ):
+                problems.append("merge log names missing or live nodes")
         return problems
 
 
@@ -231,24 +252,25 @@ def build_equiwing(graph, decomp=None):
     index.refresh_k_max()
 
     # pass 2: super edges with justification counts
+    index.edge_counts = _edge_counts(graph, wn, index.per_edge_node)
+    index.super_edge_set = set(index.edge_counts)
+    index._adjacency = None
+    return index
+
+
+def _edge_counts(graph, wn, class_of):
+    """Butterfly justification count of every super edge."""
     counts = {}
-    class_of = index.per_edge_node
     for b in graph.all_butterflies():
         for pair in contribution_pairs(b, wn, class_of):
             counts[pair] = counts.get(pair, 0) + 1
-    index.edge_counts = counts
-    index.super_edge_set = set(counts)
-    index._adjacency = None
-    return index
+    return counts
 
 
 def rebuild_edge_counts(index, graph, wn):
     """Recompute justification counts from the graph (they are derived and
     not serialized). Raises if the graph and index disagree."""
-    counts = {}
-    for b in graph.all_butterflies():
-        for pair in contribution_pairs(b, wn, index.per_edge_node):
-            counts[pair] = counts.get(pair, 0) + 1
+    counts = _edge_counts(graph, wn, index.per_edge_node)
     if set(counts) != index.super_edge_set:
         raise InternalConsistencyError(
             "index super edges do not match the graph; was the index built "
@@ -309,108 +331,116 @@ def _checksum(text):
 
 
 def serialize(index):
-    lines = [FORMAT_HEADER]
+    """The plain layout, or with a merge log the compressed one: a `merges`
+    count, nodes grouped into `L <level>` sections, and trailing `M` lines."""
+    comp = index.merge_log is not None
+    nodes = index.nodes
+    lines = [COMP_FORMAT_HEADER if comp else FORMAT_HEADER]
     lines.append(f"kmax {index.k_max}")
-    lines.append(f"nodes {len(index.nodes)}")
+    lines.append(f"nodes {len(nodes)}")
     lines.append(f"edges {len(index.super_edge_set)}")
-    for sn_id in sorted(index.nodes):
-        node = index.nodes[sn_id]
+    if comp:
+        lines.append(f"merges {len(index.merge_log)}")
+    level = None
+    by_level = (lambda s: (nodes[s].level, s)) if comp else None
+    for sn_id in sorted(nodes, key=by_level):
+        node = nodes[sn_id]
+        if comp and node.level != level:
+            level = node.level
+            lines.append(f"L {level}")
         lines.append(f"node {sn_id} {node.level} {len(node.members)}")
         for u, v in sorted(node.members):
             lines.append(f"m {u} {v}")
     for a, b in sorted(index.super_edge_set):
         lines.append(f"sedge {a} {b}")
+    for old, kept in sorted(index.merge_log or ()):
+        lines.append(f"M {old} {kept}")
     body = "\n".join(lines) + "\n"
     return body + f"checksum sha256 {_checksum(body)}\n"
 
 
-class LineReader:
-    """Tiny helper shared by both index parsers."""
+def _read(text, header, what):
+    """Parse an index file whose first line must be `header`. The checksum
+    is verified before anything else is read, and every malformation raises
+    IndexFormatError."""
+    stripped = text[:-1] if text.endswith("\n") else text
+    cut = stripped.rfind("\n") + 1
+    first = stripped.split("\n", 1)[0]
+    if first != header:
+        raise IndexFormatError(f"unsupported index format or version: {first!r}")
+    check = stripped[cut:].split()
+    if not cut or len(check) != 3 or check[:2] != ["checksum", "sha256"]:
+        raise IndexFormatError(f"{what}: missing or malformed checksum line")
+    body = stripped[:cut]
+    if _checksum(body) != check[2]:
+        raise IndexFormatError(f"{what}: checksum mismatch")
 
-    def __init__(self, text, what):
-        self.lines = text.split("\n")
-        if self.lines and self.lines[-1] == "":
-            self.lines.pop()
-        self.pos = 0
-        self.what = what
+    lines = body.split("\n")
+    lines.pop()
+    pos = 1
 
-    def next(self):
-        if self.pos >= len(self.lines):
-            raise IndexFormatError(f"{self.what}: truncated file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+    def fail(msg):
+        return IndexFormatError(f"{what}: line {pos + 1}: {msg}")
 
-    def expect(self, keyword):
-        line = self.next()
-        parts = line.split()
-        if not parts or parts[0] != keyword:
-            raise IndexFormatError(
-                f"{self.what}: line {self.pos}: expected '{keyword}', got {line!r}"
-            )
-        return parts[1:]
+    def ints(keyword, n):
+        nonlocal pos
+        if pos >= len(lines):
+            raise IndexFormatError(f"{what}: truncated file")
+        parts = lines[pos].split()
+        if len(parts) != n + 1 or parts[0] != keyword:
+            raise fail(f"expected '{keyword}' with {n} values, got {lines[pos]!r}")
+        try:
+            values = [int(p) for p in parts[1:]]
+        except ValueError:
+            raise fail(f"bad integer in {lines[pos]!r}") from None
+        pos += 1
+        return values
 
-    def done(self):
-        if self.pos != len(self.lines):
-            raise IndexFormatError(
-                f"{self.what}: trailing content after checksum line"
-            )
-
-
-def _int(reader, token):
-    try:
-        return int(token)
-    except ValueError:
-        raise IndexFormatError(
-            f"{reader.what}: line {reader.pos}: bad integer {token!r}"
-        ) from None
-
-
-def _verify_checksum(text, reader):
-    parts = reader.expect("checksum")
-    if len(parts) != 2 or parts[0] != "sha256":
-        raise IndexFormatError(f"{reader.what}: malformed checksum line")
-    body = "\n".join(reader.lines[: reader.pos - 1]) + "\n"
-    if _checksum(body) != parts[1]:
-        raise IndexFormatError(f"{reader.what}: checksum mismatch")
+    comp = header == COMP_FORMAT_HEADER
+    (k_max,) = ints("kmax", 1)
+    (n_nodes,) = ints("nodes", 1)
+    (n_edges,) = ints("edges", 1)
+    (n_merges,) = ints("merges", 1) if comp else (0,)
+    index = EquiWingIndex()
+    section = None
+    for _ in range(n_nodes):
+        while comp and pos < len(lines) and lines[pos].startswith("L"):
+            (section,) = ints("L", 1)
+        sn_id, level, n_members = ints("node", 3)
+        if comp and level != section:
+            raise fail(f"node {sn_id} outside its level section")
+        if sn_id in index.nodes:
+            raise fail(f"duplicate super node id {sn_id}")
+        if n_members < 0 or pos + n_members > len(lines):
+            raise IndexFormatError(f"{what}: truncated file")
+        end = pos + n_members
+        members = []
+        for line in lines[pos:end]:
+            mp = line.split()
+            if len(mp) != 3 or mp[0] != "m":
+                raise IndexFormatError(f"{what}: malformed member line {line!r}")
+            members.append((mp[1], mp[2]))
+        pos = end
+        index.add_node(SuperNode(sn_id, level, members))
+    for _ in range(n_edges):
+        a, b = ints("sedge", 2)
+        index.super_edge_set.add((min(a, b), max(a, b)))
+    if comp:
+        index.merge_log = [tuple(ints("M", 2)) for _ in range(n_merges)]
+    if pos != len(lines):
+        raise fail("unexpected content before the checksum line")
+    index.refresh_k_max()
+    if index.k_max != k_max:
+        raise IndexFormatError(f"{what}: kmax disagrees with node levels")
+    problems = index.validate()
+    if problems:
+        raise IndexFormatError(f"{what}: {problems[0]}")
+    return index
 
 
 def deserialize(text):
-    reader = LineReader(text, "equiwing index")
-    header = reader.next()
-    if header != FORMAT_HEADER:
-        raise IndexFormatError(
-            f"unsupported index format or version: {header!r}"
-        )
-    k_max = _int(reader, reader.expect("kmax")[0])
-    n_nodes = _int(reader, reader.expect("nodes")[0])
-    n_edges = _int(reader, reader.expect("edges")[0])
-    index = EquiWingIndex()
-    for _ in range(n_nodes):
-        parts = reader.expect("node")
-        if len(parts) != 3:
-            raise IndexFormatError(f"{reader.what}: malformed node line")
-        sn_id, level, n_members = (_int(reader, p) for p in parts)
-        members = []
-        for _ in range(n_members):
-            mp = reader.expect("m")
-            if len(mp) != 2:
-                raise IndexFormatError(f"{reader.what}: malformed member line")
-            members.append((mp[0], mp[1]))
-        index.add_node(SuperNode(sn_id, level, members))
-    for _ in range(n_edges):
-        ep = reader.expect("sedge")
-        if len(ep) != 2:
-            raise IndexFormatError(f"{reader.what}: malformed super edge line")
-        a, b = _int(reader, ep[0]), _int(reader, ep[1])
-        index.super_edge_set.add((min(a, b), max(a, b)))
-    _verify_checksum(text, reader)
-    reader.done()
-    index.k_max = k_max
-    index.refresh_k_max()
-    if index.k_max != k_max:
-        raise IndexFormatError("equiwing index: kmax disagrees with node levels")
-    problems = index.validate()
-    if problems:
-        raise IndexFormatError(f"equiwing index: {problems[0]}")
-    return index
+    return _read(text, FORMAT_HEADER, "equiwing index")
+
+
+def deserialize_comp(text):
+    return _read(text, COMP_FORMAT_HEADER, "compressed index")

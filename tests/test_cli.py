@@ -1,8 +1,14 @@
 import json
+import random
 
 import pytest
 
-from wingsearch import deserialize, deserialize_comp, load_edge_list
+from wingsearch import (
+    deserialize,
+    deserialize_comp,
+    generate_bipartite,
+    load_edge_list,
+)
 from wingsearch.cli import main
 
 from conftest import FIG2_PSI
@@ -338,3 +344,50 @@ class TestExitCodes:
             "-q", "v5", "-k", "3",
         )
         assert code == 2
+
+
+class TestRepeatedCompUpdate:
+    """Successive `update` calls on one comp file: every rewrite must stay
+    readable and equal to a fresh `build --comp` of the updated graph."""
+
+    @staticmethod
+    def classes(path):
+        comp = deserialize_comp(path.read_text())
+        return {frozenset(n.members): n.level for n in comp.nodes.values()}
+
+    @staticmethod
+    def mutation(rng, n, edges, step):
+        """Odd steps insert a random absent pair, even steps delete a random
+        edge; `edges` follows along."""
+        if step % 2 == 0:
+            e = rng.choice(sorted(edges))
+            edges.discard(e)
+            return "delete", e
+        while True:
+            e = (f"a{rng.randrange(n)}", f"b{rng.randrange(n)}")
+            if e not in edges:
+                edges.add(e)
+                return "insert", e
+
+    @pytest.mark.parametrize("n, p, seed", [(40, 0.08, 2), (40, 0.08, 3),
+                                            (60, 0.06, 2)])
+    def test_eight_updates_match_fresh_build(self, capsys, tmp_path, n, p,
+                                             seed):
+        g_path, ewc, fresh = (tmp_path / x for x in ("g.tsv", "g.ewc",
+                                                      "fresh.ewc"))
+        edges = set(generate_bipartite(n, n, p, seed, [(n // 4, n // 4, 0.9)]))
+        g_path.write_text("".join(f"{u}\t{v}\n" for u, v in sorted(edges)))
+        assert main(["build", "--graph", str(g_path), "--out", str(ewc),
+                     "--comp"]) == 0
+        rng = random.Random(seed)
+        for step in range(1, 9):
+            kind, e = self.mutation(rng, n, edges, step)
+            assert main(["update", "--graph", str(g_path), "--index",
+                         str(ewc), f"--{kind}", f"{e[0]}:{e[1]}"]) == 0, step
+            assert main(["stats", "--index", str(ewc)]) == 0, step
+            assert main(["query", "--index", str(ewc), "-q", e[0],
+                         "-k", "1"]) == 0, step
+            assert main(["build", "--graph", str(g_path), "--out",
+                         str(fresh), "--comp"]) == 0
+            assert self.classes(ewc) == self.classes(fresh), step
+        capsys.readouterr()

@@ -5,7 +5,6 @@ from wingsearch import (
     baseline_search,
     build_equiwing,
     compress,
-    compression_ratio,
     deserialize,
     deserialize_comp,
     is_forest,
@@ -68,7 +67,6 @@ class TestFig2Compression:
         index = build_equiwing(fig2_graph)
         comp = compress(index)
         assert comp.compression_ratio() == pytest.approx(1.2)
-        assert compression_ratio(index, comp) == pytest.approx(1.2)
 
     def test_validates(self, fig2_graph):
         comp = compress(build_equiwing(fig2_graph))
@@ -131,7 +129,6 @@ class TestQueries:
             for k in range(1, 6):
                 want = query_equiwing(index, q, k)
                 assert query_comp(comp, q, k) == want, (q, k)
-                assert query_comp(comp, q, k, seed_mode="levels") == want
 
     def test_random_graphs_match_baseline(self, rng):
         for _ in range(12):
