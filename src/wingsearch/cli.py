@@ -44,7 +44,7 @@ def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IndexFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -84,22 +84,17 @@ def _print_wings(wings, fmt):
     lines = []
     if fmt == "jsonlines":
         for i, wing in enumerate(wings):
-            lines.append(
-                json.dumps(
-                    {
-                        "wing_index": i,
-                        "size": len(wing),
-                        "edges": [[u, v] for u, v in wing],
-                    }
-                )
-            )
+            record = {
+                "wing_index": i,
+                "size": len(wing),
+                "edges": [[u, v] for u, v in wing],
+            }
+            lines.append(json.dumps(record) + "\n")
     else:
         for i, wing in enumerate(wings):
-            lines.append(f"wing {i} size {len(wing)}")
-            for u, v in wing:
-                lines.append(f"{u} {v}")
-    for line in lines:
-        print(line)
+            lines.append(f"wing {i} size {len(wing)}\n")
+            lines.extend(f"{u} {v}\n" for u, v in wing)
+    sys.stdout.write("".join(lines))
 
 
 def _verify_index_matches(graph, decomp, index, shadow=None):
@@ -207,8 +202,11 @@ def cmd_query(args):
             if not graph.has_vertex(args.q):
                 raise UnknownVertexError(f"vertex {args.q!r} not in graph")
         t0 = time.perf_counter()
-        wings = query_equiwing(_parse(text, kind), args.q, args.k)
-        dt = time.perf_counter() - t0
+        index = _parse(text, kind)
+        t1 = time.perf_counter()
+        wings = query_equiwing(index, args.q, args.k)
+        dt = time.perf_counter() - t1
+        print(f"# parse time {t1 - t0:.6f}s")
     print(f"# query time {dt:.6f}s")
     print(f"# wings {len(wings)}")
     _print_wings(wings, args.format)

@@ -30,12 +30,23 @@ COMP_FORMAT_HEADER = "EQUIWING-COMP v1"
 
 
 class SuperNode:
-    __slots__ = ("sn_id", "level", "members")
+    """One equivalence class. `members` is frozen, so the canonical order
+    that `ordered()` sorts once and keeps can never go stale."""
+
+    __slots__ = ("sn_id", "level", "members", "_ordered")
 
     def __init__(self, sn_id, level, members):
         self.sn_id = sn_id
         self.level = level
-        self.members = set(members)
+        self.members = frozenset(members)
+        self._ordered = None
+
+    def ordered(self):
+        """Members in canonical (sorted) order: sorted on first use, then
+        kept on the node. Callers must not mutate the returned list."""
+        if self._ordered is None:
+            self._ordered = sorted(self.members)
+        return self._ordered
 
     def __repr__(self):
         return f"SuperNode({self.sn_id}, level={self.level}, size={len(self.members)})"
@@ -298,14 +309,17 @@ def _component_wings(index, seed_ids, k, counters):
             node = nodes[cur]
             if counters is not None:
                 counters.visit(node)
-            members.extend(node.members)
+            members.extend(node.ordered())
             for nb in adj[cur]:
                 if nb not in visited and nodes[nb].level >= k:
                     visited.add(nb)
                     stack.append(nb)
         if counters is not None:
             counters.emit(len(members))
-        wings.append(sorted(members))
+        # a concatenation of presorted runs: Timsort merges them, in
+        # O(r log runs) rather than O(r log r)
+        members.sort()
+        wings.append(members)
     wings.sort(key=lambda w: w[0])
     return wings
 
@@ -349,7 +363,7 @@ def serialize(index):
             level = node.level
             lines.append(f"L {level}")
         lines.append(f"node {sn_id} {node.level} {len(node.members)}")
-        for u, v in sorted(node.members):
+        for u, v in node.ordered():
             lines.append(f"m {u} {v}")
     for a, b in sorted(index.super_edge_set):
         lines.append(f"sedge {a} {b}")
@@ -368,7 +382,8 @@ def _read(text, header, what):
     first = stripped.split("\n", 1)[0]
     if first != header:
         raise IndexFormatError(f"unsupported index format or version: {first!r}")
-    check = stripped[cut:].split()
+    # split on single spaces, so the line must match the writer's exactly
+    check = stripped[cut:].split(" ")
     if not cut or len(check) != 3 or check[:2] != ["checksum", "sha256"]:
         raise IndexFormatError(f"{what}: missing or malformed checksum line")
     body = stripped[:cut]
@@ -420,8 +435,14 @@ def _read(text, header, what):
             if len(mp) != 3 or mp[0] != "m":
                 raise IndexFormatError(f"{what}: malformed member line {line!r}")
             members.append((mp[1], mp[2]))
+        node = SuperNode(sn_id, level, members)
+        if len(node.members) != n_members:
+            raise fail(f"node {sn_id} lists a member edge twice")
+        # file order is not trusted; Timsort checks sorted input in O(n)
+        members.sort()
+        node._ordered = members
         pos = end
-        index.add_node(SuperNode(sn_id, level, members))
+        index.add_node(node)
     for _ in range(n_edges):
         a, b = ints("sedge", 2)
         index.super_edge_set.add((min(a, b), max(a, b)))

@@ -7,12 +7,15 @@ from wingsearch import (
     affected_edges,
     apply_update,
     apply_update_comp,
+    baseline_search,
     build_equiwing,
     compress,
     compute_delta,
+    generate_bipartite,
     k_level_butterfly_count,
     query_comp,
     query_equiwing,
+    serialize,
     wing_decomposition,
     wing_upper_bound,
 )
@@ -333,3 +336,48 @@ class TestCompMaintenance:
 
     def mutate_comp(self, rng, g, d, index, comp):
         return TestRandomSequences().mutate(rng, g, d, index, comp)
+
+
+class TestOrderCaches:
+    """Each super node sorts its members once and keeps that order; no
+    update may leave a node whose kept order disagrees with its members."""
+
+    def test_answers_and_files_after_each_update(self):
+        edges = generate_bipartite(20, 20, 0.15, 3, [(7, 7, 0.9)])
+        # the same updates on two copies: the first is queried after every
+        # step, the second never is, and both must write the same bytes
+        states = []
+        for _ in range(2):
+            g = build(edges)
+            d = wing_decomposition(g)
+            index = build_equiwing(g, d)
+            states.append([g, d, index, compress(index)])
+        r = random.Random(41)
+        for step in range(20):
+            g = states[0][0]
+            if step % 2:
+                kind, (u, v) = "delete", r.choice(g.sorted_edges())
+            else:
+                kind, us, vs = "insert", sorted(g.adj_u), sorted(g.adj_v)
+                u, v = r.choice(us), r.choice(vs)
+                while g.has_edge(u, v):
+                    u, v = r.choice(us), r.choice(vs)
+            for state in states:
+                report, state[3] = apply_update_comp(*state, kind, u, v)
+            g, d, index, comp = states[0]
+            touched = sorted({x for e in report.changed for x in e} - {u, v})
+            for q in [u, v] + r.sample(touched, min(3, len(touched))):
+                if not g.has_vertex(q):
+                    continue
+                own = [(q, x) for x in g.adj_u.get(q, ())]
+                own += [(x, q) for x in g.adj_v.get(q, ())]
+                dense = max([1] + [d.wing_number[e] for e in own])
+                for k in (1, 2, dense):
+                    want = baseline_search(g, d, q, k)
+                    assert query_equiwing(index, q, k) == want, (step, q, k)
+                    assert query_comp(comp, q, k) == want, (step, q, k)
+            _g, _d, cold_index, cold_comp = states[1]
+            assert serialize(index) == serialize(cold_index), step
+            assert serialize(comp) == serialize(cold_comp), step
+            for ix in (index, comp, cold_index, cold_comp):
+                assert all(type(n.members) is frozenset for n in ix.nodes.values())

@@ -4,10 +4,13 @@ or the internal-error exit 4.
 
 Cases: the file cut after every line, and for every body line (with the
 checksum recomputed, so the structure check is what has to catch it) the
-line duplicated, dropped, stripped of its values, or swapped with the next.
+line duplicated, dropped, stripped of its values, or swapped with the next;
+then every byte flipped without resealing. Member lines out of order inside
+a node are not a malformation: the reader re-sorts them.
 """
 
 import hashlib
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -18,6 +21,7 @@ from wingsearch import (
     compress,
     deserialize,
     deserialize_comp,
+    query_equiwing,
     serialize,
 )
 from wingsearch.cli import main
@@ -59,6 +63,15 @@ def layout(request, fig2_graph):
 def cli(*argv):
     with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
         return main(list(argv))
+
+
+def cli_out(*argv):
+    """Exit code and payload lines (timing lines dropped) of one CLI call."""
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main(list(argv))
+    payload = [l for l in out.getvalue().splitlines() if not l.startswith("# ")]
+    return code, payload
 
 
 def test_library_raises_only_index_format_error(layout):
@@ -115,3 +128,60 @@ def test_checksum_is_checked_before_structure(layout):
     broken = "".join(line + "\n" for line in body[:5]) + text.splitlines(True)[-1]
     with pytest.raises(IndexFormatError, match="checksum mismatch"):
         read(broken)
+
+
+def test_reader_resorts_members(layout, tmp_path):
+    """Member lines out of order inside a node still load, answer in
+    canonical order, and re-serialize to the canonical bytes."""
+    text, read = layout
+    body = body_of(text)
+    start = next(i for i, line in enumerate(body)
+                 if line.startswith("node ") and int(line.split()[3]) >= 2)
+    swapped = body[:start + 1] + [body[start + 2], body[start + 1]] + body[start + 3:]
+    bad = seal(swapped)
+    assert bad != text
+    index = read(bad)
+    assert serialize(index) == text
+    canonical = read(text)
+    for q in ("v2", "v5", "u4"):
+        for k in (1, 2, 3):
+            assert query_equiwing(index, q, k) == query_equiwing(canonical, q, k)
+    good, shuffled = tmp_path / "good.idx", tmp_path / "shuffled.idx"
+    good.write_text(text)
+    shuffled.write_text(bad)
+    for k in ("1", "3"):
+        assert cli_out("query", "--index", str(shuffled), "-q", "v2", "-k", k) \
+            == cli_out("query", "--index", str(good), "-q", "v2", "-k", k)
+
+
+def test_member_listed_twice_is_rejected(layout):
+    text, read = layout
+    body = body_of(text)
+    start = next(i for i, line in enumerate(body)
+                 if line.startswith("node ") and int(line.split()[3]) >= 2)
+    twice = body[:start + 2] + [body[start + 1]] + body[start + 3:]
+    with pytest.raises(IndexFormatError, match="member edge twice"):
+        read(seal(twice))
+
+
+def flipped(data, i, mask):
+    return data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+
+
+def test_byte_flips_are_rejected(layout, tmp_path):
+    """Every byte flipped, one at a time, without resealing: the library
+    raises IndexFormatError, and for a seeded sample `stats` and `query`
+    exit 2. Mask 0x01 keeps the byte ASCII; 0x80 makes it invalid UTF-8."""
+    text, read = layout
+    data = text.encode()
+    flips = [(i, mask) for i in range(len(data)) for mask in (0x01, 0x80)]
+    for i, mask in flips:
+        bad = flipped(data, i, mask).decode("utf-8", errors="replace")
+        with pytest.raises(IndexFormatError):
+            read(bad)
+    path = tmp_path / "flipped.idx"
+    for i, mask in random.Random(5).sample(flips, 40):
+        path.write_bytes(flipped(data, i, mask))
+        assert cli("stats", "--index", str(path)) == 2, (i, mask)
+        assert cli("query", "--index", str(path), "-q", "v5",
+                   "-k", "2") == 2, (i, mask)
