@@ -1,7 +1,12 @@
 import pytest
 
 import oracles
-from wingsearch import BipartiteGraph, baseline_search, wing_decomposition
+from wingsearch import (
+    BipartiteGraph,
+    baseline_search,
+    generate_bipartite,
+    wing_decomposition,
+)
 from wingsearch.errors import UnknownVertexError
 
 from conftest import FIG2_CLASSES, random_bipartite_edges
@@ -71,3 +76,27 @@ def test_matches_oracle_on_random_graphs(rng):
                     key=lambda w: w[0],
                 )
                 assert search(q, k) == expect, (q, k)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matches_oracle_on_planted_blocks(seed):
+    """Two dense blocks that share only a0, in a sparse random graph: a
+    vertex shares many neighbours with some partners and none with others,
+    and a0 lies in several k-wings at once."""
+    blocks = {(f"a{i}", f"b{j}") for i in range(5) for j in range(5)}
+    blocks |= {(f"a{i}", f"b{j}") for i in (0, 5, 6, 7, 8) for j in range(5, 10)}
+    edges = sorted(blocks | set(generate_bipartite(24, 24, 0.06, seed)))
+    search = engine(edges)
+    labels = sorted({x for e in edges for x in e})
+    kmax = max(oracles.wing_numbers_oracle(edges).values(), default=0)
+    several = 0
+    for k in range(1, kmax + 2):
+        by_oracle = oracles.wings_oracle(edges, k)
+        for q in labels:
+            expect = sorted(
+                (sorted(w) for w in by_oracle if any(q in e for e in w)),
+                key=lambda w: w[0],
+            )
+            assert search(q, k) == expect, (q, k)
+            several += len(expect) > 1
+    assert several > 0
