@@ -30,6 +30,9 @@ def baseline_search(graph, decomp, q, k):
     """All k-wings containing vertex q. Returns a list of sorted edge lists."""
     if not graph.has_vertex(q):
         raise UnknownVertexError(f"vertex {q!r} not in graph")
+    # a k-wing's edges lie in butterflies, so k < 1 asks for 1-wings, as in
+    # query_equiwing; wing-number-0 edges belong to no wing
+    k = max(k, 1)
     wn = decomp.wing_number
     adj_u, adj_v = graph.adj_u, graph.adj_v
     # neighbours over edges of wing number >= k, and the partners of each

@@ -30,9 +30,14 @@ class WingDecomposition:
 
 def wing_decomposition(graph):
     edges = graph.sorted_edges()
-    support = {}
-    for u, v in edges:
-        support[(u, v)] = graph.support(u, v)
+    # initial supports from blooms: each of a bloom's edges lies in
+    # len(common) - 1 of its butterflies; keys stay in sorted edge order
+    support = dict.fromkeys(edges, 0)
+    for u1, u2, common in graph.blooms():
+        c = len(common) - 1
+        for x in common:
+            support[(u1, x)] += c
+            support[(u2, x)] += c
 
     # shrinking adjacency for in-subgraph butterfly enumeration
     adj_u = {u: set(vs) for u, vs in graph.adj_u.items()}

@@ -227,7 +227,11 @@ def build_equiwing(graph, decomp=None):
     decomp = decomp if decomp is not None else wing_decomposition(graph)
     wn = decomp.wing_number
 
-    # pass 1: union min-level edges of every butterfly
+    # union pass: a butterfly unions its min-level edges. In a bloom, the
+    # butterfly {x, y} has minimum min(w_x, w_y), where w_x is the lower
+    # level of x's two edges, so the level-m edges of every x with w_x = m
+    # fall in one class, unless x is alone at the bloom's top level: then
+    # each of its butterflies has its minimum on the other vertex
     parent = {e: e for e, w in wn.items() if w >= 1}
 
     def find(x):
@@ -238,19 +242,32 @@ def build_equiwing(graph, decomp=None):
             parent[x], x = root, parent[x]
         return root
 
-    for b in graph.all_butterflies():
-        es = butterfly_edges(b)
-        levels = [wn.get(e, 0) for e in es]
-        m = min(levels)
-        if m < 1:
-            continue
-        first = None
-        for e, lv in zip(es, levels):
-            if lv == m:
-                if first is None:
-                    first = find(e)
-                else:
-                    parent[find(e)] = first
+    level = wn.get
+    for u1, u2, common in graph.blooms():
+        at = {}  # w_x -> the level-w_x edges of each such x
+        for x in common:
+            e1, e2 = (u1, x), (u2, x)
+            w1, w2 = level(e1, 0), level(e2, 0)
+            if w1 < w2:
+                m, es = w1, (e1,)
+            elif w2 < w1:
+                m, es = w2, (e2,)
+            else:
+                m, es = w1, (e1, e2)
+            if m >= 1:
+                at.setdefault(m, []).append(es)
+        top = max(at, default=0)
+        for m, xs in at.items():
+            if len(xs) == 1 and (m == top or len(xs[0]) == 1):
+                continue
+            first = None
+            for es in xs:
+                for e in es:
+                    root = find(e)
+                    if first is None:
+                        first = root
+                    elif root != first:
+                        parent[root] = first
 
     groups = {}
     for e in parent:
@@ -262,7 +279,7 @@ def build_equiwing(graph, decomp=None):
         index.add_node(SuperNode(index.alloc_id(), wn[members[0]], members))
     index.refresh_k_max()
 
-    # pass 2: super edges with justification counts
+    # count pass: super edges with justification counts
     index.edge_counts = _edge_counts(graph, wn, index.per_edge_node)
     index.super_edge_set = set(index.edge_counts)
     index._adjacency = None
@@ -270,11 +287,38 @@ def build_equiwing(graph, decomp=None):
 
 
 def _edge_counts(graph, wn, class_of):
-    """Butterfly justification count of every super edge."""
+    """Butterfly justification count of every super edge, bloom by bloom.
+
+    The butterfly {x, y} of a bloom pairs the class of its min-level edge
+    with each other class among its four edges. Key each common neighbour x
+    by (w_x, a_x, its two edges' classes), where w_x is the lower level of
+    its edges and a_x the class of the first edge at that level. All
+    butterflies between two keys then contribute the same pairs, with `a`
+    taken from the lower key: n_i * n_j of them, or C(n, 2) within a key.
+    """
     counts = {}
-    for b in graph.all_butterflies():
-        for pair in contribution_pairs(b, wn, class_of):
-            counts[pair] = counts.get(pair, 0) + 1
+    level, cls = wn.get, class_of.get
+    for u1, u2, common in graph.blooms():
+        keys = {}
+        for x in common:
+            e1, e2 = (u1, x), (u2, x)
+            w1, w2 = level(e1, 0), level(e2, 0)
+            c1, c2 = cls(e1, 0), cls(e2, 0)
+            key = (w1, c1, c1, c2) if w1 <= w2 else (w2, c2, c1, c2)
+            keys[key] = keys.get(key, 0) + 1
+        items = sorted(keys.items())
+        for i, ((w, a, c1, c2), n) in enumerate(items):
+            if w < 1 or not a:
+                continue  # the lower key has no level or no class
+            for j in range(i, len(items)):
+                (_w, _a, d1, d2), nj = items[j]
+                weight = n * (n - 1) // 2 if j == i else n * nj
+                if not weight:
+                    continue
+                for d in {c1, c2, d1, d2}:
+                    if d and d != a:
+                        pair = (a, d) if a < d else (d, a)
+                        counts[pair] = counts.get(pair, 0) + weight
     return counts
 
 

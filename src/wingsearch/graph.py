@@ -5,7 +5,9 @@ may appear on both sides and names two different vertices. Edges are
 (u_label, v_label) tuples with u on the left/U side.
 
 A butterfly is a 2x2 biclique: vertices {u, u2} x {v, v2}, four edges, all
-distinct. Canonical form is (u1, u2, v1, v2) with u1 < u2 and v1 < v2.
+distinct. Canonical form is (u1, u2, v1, v2) with u1 < u2 and v1 < v2. A
+bloom folds the butterflies of one U pair: (u1, u2, common) with u1 < u2 and
+at least two common neighbours.
 """
 
 import os
@@ -117,6 +119,30 @@ class BipartiteGraph:
                         for b in range(a + 1, len(common)):
                             yield (u1, u2, common[a], common[b])
 
+    def blooms(self):
+        """Yield (u1, u2, common) for every U pair u1 < u2 with at least two
+        common neighbours, from one pass over each u1's wedges.
+
+        A bloom is the 2 x c biclique of the pair and its c common
+        neighbours: it holds c(c-1)/2 butterflies, and each of its 2c edges
+        lies in c-1 of them. Folding butterflies into blooms lets whole-graph
+        passes run in wedges plus blooms rather than butterflies. `common`
+        is a list in no particular order.
+        """
+        adj_u, adj_v = self.adj_u, self.adj_v
+        for u1 in sorted(adj_u):
+            wedges = {}  # u2 -> the v closing a wedge u1-v-u2
+            for v in adj_u[u1]:
+                for u2 in adj_v[v]:
+                    if u2 > u1:
+                        if u2 in wedges:
+                            wedges[u2].append(v)
+                        else:
+                            wedges[u2] = [v]
+            for u2, common in wedges.items():
+                if len(common) >= 2:
+                    yield u1, u2, common
+
 
 def butterfly_edges(b):
     u1, u2, v1, v2 = b
@@ -139,8 +165,8 @@ def load_edge_list(path):
 
     Lines starting with '%' or '#' are comments. First column is the U side.
     Duplicate edges are dropped and counted. Returns (graph, duplicate_count).
-    Raises GraphFormatError on unreadable input or a line that does not have
-    exactly two columns.
+    Raises GraphFormatError on unreadable or non-UTF-8 input or a line that
+    does not have exactly two columns.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -149,17 +175,21 @@ def load_edge_list(path):
     graph = BipartiteGraph()
     duplicates = 0
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(COMMENT_PREFIXES):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: expected 2 columns, got {len(parts)}"
-                )
-            if not graph.insert_edge(parts[0], parts[1]):
-                duplicates += 1
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith(COMMENT_PREFIXES):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise GraphFormatError(
+                        f"{path}: line {lineno}: expected 2 columns, "
+                        f"got {len(parts)}"
+                    )
+                if not graph.insert_edge(parts[0], parts[1]):
+                    duplicates += 1
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     return graph, duplicates
 
 

@@ -146,3 +146,27 @@ def equivalence_classes_oracle(edges):
             groups[find(e)].add(e)
         by_level[level] = [frozenset(g) for g in groups.values()]
     return dict(by_level)
+
+
+def justification_counts_oracle(edges):
+    """Butterfly justification count of every super edge, per butterfly:
+    each butterfly with all four wing numbers >= 1 pairs the class of its
+    min-level edges with each other class among its four edges. Returns a
+    dict frozenset({class_a, class_d}) -> count, classes as frozensets of
+    edges from equivalence_classes_oracle."""
+    psi = wing_numbers_oracle(edges)
+    class_of = {}
+    for groups in equivalence_classes_oracle(edges).values():
+        for grp in groups:
+            for e in grp:
+                class_of[e] = grp
+    counts = defaultdict(int)
+    for b in enumerate_butterflies(edges):
+        es = butterfly_edges(b)
+        m = min(psi[e] for e in es)
+        if m < 1:
+            continue
+        a = class_of[next(e for e in es if psi[e] == m)]
+        for d in {class_of[e] for e in es} - {a}:
+            counts[frozenset((a, d))] += 1
+    return dict(counts)

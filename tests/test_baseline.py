@@ -43,6 +43,13 @@ class TestFig2Fixtures:
         wings = baseline_search(fig2_graph, d, "v2", 1)
         assert [len(w) for w in wings] == [25]
 
+    def test_k_below_one_skips_edges_in_no_butterfly(self):
+        g = BipartiteGraph()
+        g.insert_edge("a1", "b1")
+        d = wing_decomposition(g)
+        for k in (-1, 0, 1):
+            assert baseline_search(g, d, "a1", k) == []
+
     def test_unknown_vertex(self, fig2_graph):
         d = wing_decomposition(fig2_graph)
         with pytest.raises(UnknownVertexError):
@@ -68,7 +75,7 @@ def test_matches_oracle_on_random_graphs(rng):
         search = engine(edges)
         labels = sorted({x for e in edges for x in e})
         kmax = max(oracles.wing_numbers_oracle(edges).values(), default=0)
-        for k in range(1, kmax + 2):
+        for k in range(0, kmax + 2):
             by_oracle = oracles.wings_oracle(edges, k)
             for q in labels:
                 expect = sorted(
@@ -90,7 +97,7 @@ def test_matches_oracle_on_planted_blocks(seed):
     labels = sorted({x for e in edges for x in e})
     kmax = max(oracles.wing_numbers_oracle(edges).values(), default=0)
     several = 0
-    for k in range(1, kmax + 2):
+    for k in range(0, kmax + 2):
         by_oracle = oracles.wings_oracle(edges, k)
         for q in labels:
             expect = sorted(

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from wingsearch import (
+    SuperNode,
     deserialize,
     deserialize_comp,
     generate_bipartite,
     load_edge_list,
+    serialize,
 )
 from wingsearch.cli import main
 
@@ -236,6 +238,31 @@ class TestUpdate:
         )
         assert code == 4 and "does not match" in err
 
+    def test_split_class_is_internal_error(self, capsys, g_path, ew_path):
+        """A file whose nodes match the wing numbers but split a class in
+        two at one level passes the cheap cross-check; recounting the super
+        edges from the graph must still catch it."""
+        text = ew_path.read_text()
+        splittable = [
+            n for n in deserialize(text).nodes.values() if len(n.members) > 1
+        ]
+        assert splittable
+        for node in splittable:
+            split = deserialize(text)
+            split.remove_node(node.sn_id)
+            half = node.ordered()[: len(node.members) // 2]
+            rest = node.members - set(half)
+            split.add_node(SuperNode(node.sn_id, node.level, rest))
+            split.add_node(SuperNode(split.alloc_id(), node.level, half))
+            assert split.validate() == []
+            ew_path.write_text(serialize(split))
+            code, _, err = run(
+                capsys, "update", "--graph", str(g_path), "--index",
+                str(ew_path), "--insert", "v1:u2",
+            )
+            assert code == 4, node
+            assert "index super edges do not match the graph" in err
+
     def test_no_mutations_rejected(self, capsys, g_path, ew_path):
         code, _, _ = run(
             capsys, "update", "--graph", str(g_path), "--index",
@@ -321,6 +348,23 @@ class TestExitCodes:
         bad.write_text("a1\tb1\njustoneword\n")
         code, _, err = run(capsys, "decompose", "--graph", str(bad))
         assert code == 2 and "line 2" in err
+
+    @pytest.mark.parametrize("command", ["decompose", "build", "update",
+                                         "query"])
+    def test_non_utf8_graph(self, capsys, tmp_path, ew_path, command):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"v1\tu1\n\xff\xfe\tu2\n")
+        argv = {
+            "decompose": ["decompose", "--graph", str(bad)],
+            "build": ["build", "--graph", str(bad),
+                      "--out", str(tmp_path / "x.ew")],
+            "update": ["update", "--graph", str(bad), "--index", str(ew_path),
+                       "--insert", "v1:u2"],
+            "query": ["query", "--index", str(ew_path), "--graph", str(bad),
+                      "-q", "v5", "-k", "3"],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "utf-8" in err and payload(out) == ""
 
     def test_corrupt_index(self, capsys, tmp_path, ew_path):
         mangled = tmp_path / "mangled.ew"

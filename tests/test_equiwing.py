@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -165,6 +167,66 @@ class TestAgainstOracles:
             for a, b in index.super_edge_set:
                 assert index.nodes[a].level != index.nodes[b].level
             assert index.validate() == []
+
+
+def blocks_sharing_a_vertex(seed):
+    """Two complete s x s blocks that share one vertex (V side on even
+    seeds, U side on odd), over a sparse 12 x 12 random graph. A pair of U
+    vertices, one in each block, then meets at the shared vertex at the
+    blocks' level and elsewhere only lower: a bloom whose top level holds a
+    lone vertex with its two edges in different classes."""
+    rng = random.Random(seed)
+    edges = set(random_bipartite_edges(rng, 12, 12, rng.uniform(0.1, 0.25)))
+    s = rng.randint(3, 4)
+    us = rng.sample(range(12), 2 * s)
+    vs = rng.sample(range(12), 2 * s - 1)
+    blocks = [(us[:s], vs[:s]), (us[s:], vs[s - 1:])]
+    if seed % 2:
+        blocks = [(vs[:s], us[:s]), (vs[s - 1:], us[s:])]
+    for bu, bv in blocks:
+        edges |= {(f"a{i}", f"b{j}") for i in bu for j in bv}
+    return sorted(edges)
+
+
+class TestBloomBuild:
+    """The build works per bloom (a U pair and its common neighbours), not
+    per butterfly; these pin it to the per-butterfly definitions."""
+
+    def test_classes_and_counts_match_oracles(self):
+        ties = lone = 0
+        for seed in range(20):
+            edges = blocks_sharing_a_vertex(seed)
+            g, d, index = built_index(edges)
+            want = {
+                grp
+                for groups in oracles.equivalence_classes_oracle(edges).values()
+                for grp in groups
+            }
+            assert member_sets(index) == want, seed
+            got = {
+                frozenset((index.nodes[a].members, index.nodes[b].members)): c
+                for (a, b), c in index.edge_counts.items()
+            }
+            assert got == oracles.justification_counts_oracle(edges), seed
+            wn, cls = d.wing_number, index.per_edge_node
+            for u1, u2, common in g.blooms():
+                w = {x: min(wn[(u1, x)], wn[(u2, x)]) for x in common}
+                top = max(w.values())
+                low = [m for m in w.values() if m < top]
+                ties += len(low) > len(set(low))
+                at_top = [x for x in common if w[x] == top]
+                if len(at_top) == 1:
+                    e1, e2 = (u1, at_top[0]), (u2, at_top[0])
+                    lone += wn[e1] == wn[e2] and cls[e1] != cls[e2]
+        # the shapes where a per-bloom union can go wrong do occur
+        assert ties > 0 and lone > 0
+
+    def test_supports_match_per_edge_count(self):
+        for seed in range(20):
+            g, d, _index = built_index(blocks_sharing_a_vertex(seed))
+            assert list(d.support.items()) == [
+                (e, g.support(*e)) for e in g.sorted_edges()
+            ]
 
 
 class TestQueries:

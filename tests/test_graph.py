@@ -43,6 +43,12 @@ class TestLoading:
             load_edge_list(p)
         assert "line 2" in str(err.value)
 
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(b"a1\tb1\n\xff\xfe\tb2\n")
+        with pytest.raises(GraphFormatError, match="utf-8"):
+            load_edge_list(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(GraphFormatError):
             load_edge_list(tmp_path / "nope.tsv")
@@ -109,6 +115,30 @@ class TestButterflies:
                 g.insert_edge(u, v)
             total = sum(butterfly_support(g, u, v) for u, v in g.edges())
             assert total == 4 * len(oracles.enumerate_butterflies(edges))
+
+    def test_blooms_fold_the_butterflies(self, rng):
+        """Each bloom is a U pair u1 < u2 with its (at least two) common
+        neighbours; its butterflies are the pairs of those neighbours."""
+        for edges in [FIG2_EDGES] + [
+            random_bipartite_edges(rng, 8, 8, 0.45) for _ in range(10)
+        ]:
+            g = BipartiteGraph()
+            for u, v in edges:
+                g.insert_edge(u, v)
+            blooms = list(g.blooms())
+            pairs = [(u1, u2) for u1, u2, _common in blooms]
+            assert len(pairs) == len(set(pairs))
+            unfolded = set()
+            for u1, u2, common in blooms:
+                assert u1 < u2 and len(common) == len(set(common)) >= 2
+                assert set(common) == g.adj_u[u1] & g.adj_u[u2]
+                c = sorted(common)
+                unfolded |= {
+                    (u1, u2, c[i], c[j])
+                    for i in range(len(c))
+                    for j in range(i + 1, len(c))
+                }
+            assert unfolded == set(oracles.enumerate_butterflies(edges))
 
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
