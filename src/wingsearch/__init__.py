@@ -14,7 +14,6 @@ from .compress import (
 from .decomposition import WingDecomposition, wing_decomposition
 from .dynamic import (
     UpdateReport,
-    UpdateScope,
     affected_edges,
     apply_update,
     apply_update_comp,

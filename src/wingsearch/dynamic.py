@@ -15,18 +15,21 @@ all have wing number >= k. Consequences used here:
   butterflies' minima); the greatest fixpoint below the start equals the true
   new wing numbers.
 
-Index surgery then removes the affected classes, re-forms them by chained
-BFS (absorbing surviving classes it runs into, defensively widening the
-scope), rechecks surviving classes whose chaining a butterfly's min-level
-shift may have altered, and patches super edges through per-pair butterfly
-justification counts. A structural validation pass runs after every update;
-on any violation the index is rebuilt from scratch and the report says so.
+Both kinds share one path. The scope is found from the butterflies through
+e' while the graph holds it (the new ones on insert, the dying ones on
+delete); only the candidate filter, the start values and the floors of the
+fixpoint differ by kind. Index surgery then removes the affected classes,
+re-forms them by chained BFS (absorbing surviving classes it runs into,
+defensively widening the scope), rechecks surviving classes whose chaining
+a butterfly's min-level shift may have altered, and patches super edges
+through per-pair butterfly justification counts. A structural validation
+pass runs after every update; on any violation the index is rebuilt from
+scratch and the report says so.
 """
 
 from collections import deque
 
 from .compress import compress
-from .decomposition import wing_decomposition
 from .equiwing import (
     SuperNode,
     build_equiwing,
@@ -51,21 +54,10 @@ def _h_index(values):
     return h
 
 
-def _prospective_partners(graph, u, v):
-    """Partner pairs (u2, v2) such that inserting (u, v) would create the
-    butterfly on {u, u2} x {v, v2}."""
-    out = []
-    for v2 in graph.adj_u.get(u, ()):
-        for u2 in graph.adj_v.get(v, ()):
-            if v2 in graph.adj_u.get(u2, ()):
-                out.append((u2, v2))
-    return out
-
-
 def compute_delta(graph, u, v):
     """Largest number of new butterflies any single existing edge would gain
     from inserting (u, v)."""
-    return _insert_bound_parts(graph, {}, u, v)[1]
+    return _insert_bound(graph, {}, u, v)[1]
 
 
 def k_level_butterfly_count(graph, decomp, u, v, k):
@@ -84,46 +76,36 @@ def k_level_butterfly_count(graph, decomp, u, v, k):
     return n
 
 
-def _insert_bound_parts(graph, wn, u, v):
+def _insert_bound(graph, wn, u, v):
+    """(bound, delta) for inserting (u, v), from the partner pairs (u2, v2)
+    that would close a new butterfly on {u, u2} x {v, v2}."""
     if graph.has_edge(u, v):
         raise InvalidArgumentError(f"edge ({u}, {v}) already present")
-    partners = _prospective_partners(graph, u, v)
     counts = {}
     mins = []
-    for u2, v2 in partners:
-        others = ((u, v2), (u2, v), (u2, v2))
-        mins.append(min(wn.get(f, 0) for f in others))
-        for f in others:
-            counts[f] = counts.get(f, 0) + 1
+    for v2 in graph.adj_u.get(u, ()):
+        for u2 in graph.adj_v.get(v, ()):
+            if v2 in graph.adj_u[u2]:
+                others = ((u, v2), (u2, v), (u2, v2))
+                mins.append(min(wn.get(f, 0) for f in others))
+                for f in others:
+                    counts[f] = counts.get(f, 0) + 1
     delta = max(counts.values(), default=0)
-    return _h_index(mins) + delta, delta, partners
+    return _h_index(mins) + delta, delta
 
 
 def wing_upper_bound(graph, decomp, u, v):
     """Sound upper bound on every wing number after inserting (u, v)."""
-    bound, _delta, _partners = _insert_bound_parts(
-        graph, decomp.wing_number, u, v
-    )
-    return bound
-
-
-class UpdateScope:
-    """Pre-computed blast radius of one edge update: the edges whose wing
-    number or class can change and the super nodes that may be restructured."""
-
-    def __init__(self, kind, edge, affected_edges, affected_nodes,
-                 upper_bound, projected, changed):
-        self.kind = kind
-        self.edge = edge
-        self.affected_edges = affected_edges
-        self.affected_nodes = affected_nodes
-        self.upper_bound = upper_bound
-        self.projected = projected  # edge -> new wing number, for E'
-        self.changed = changed      # edges whose wing number moves
-        self.delta = None
+    return _insert_bound(graph, decomp.wing_number, u, v)[0]
 
 
 class UpdateReport:
+    """What one edge update moves. `affected_edges` returns it before any
+    surgery, holding the scope: the edges and classes that may be re-formed
+    and `changed`, edge -> (old, new) wing number. `apply_update` widens
+    the same report with the classes its surgery absorbs or rechains.
+    `upper_bound` is the insert bound, or the deleted edge's wing number."""
+
     def __init__(self, kind, edge, upper_bound, delta):
         self.kind = kind
         self.edge = edge
@@ -131,10 +113,8 @@ class UpdateReport:
         self.delta = delta
         self.affected_edges = set()
         self.affected_nodes = set()
-        self.changed = {}            # edge -> (old, new)
+        self.changed = {}
         self.new_node_ids = []
-        self.removed_node_ids = set()
-        self.touched_levels = set()
         self.events = []
         self.fell_back = False
 
@@ -205,107 +185,82 @@ def _closure(graph, start, keep):
     return out
 
 
-def _insert_scope(graph, wn, index, e_new, bound, partners):
-    u, v = e_new
-    seeds = set()
-    for u2, v2 in partners:
-        others = ((u, v2), (u2, v), (u2, v2))
-        for x in others:
-            px = wn.get(x, 0)
-            if px < 1 or px > bound:
-                continue
-            if min(wn.get(f, 0) for f in others if f != x) >= px:
-                sid = index.per_edge_node.get(x)
-                if sid is not None:
-                    seeds.add(sid)
-
-    cand = _closure(graph, e_new, lambda y: wn.get(y, 0) < bound)
-    cand.discard(e_new)
-    up = {y: min(bound, graph.support(*y)) for y in cand}
-    up[e_new] = min(bound, len(partners))
-    floors = {y: wn.get(y, 0) for y in up}
-    _fixpoint(graph, wn, up, floors)
-
-    changed = {f for f in up if up[f] != wn.get(f, 0) and f != e_new}
-    node_ids = set(seeds)
-    for f in changed:
-        sid = index.per_edge_node.get(f)
-        if sid is not None:
-            node_ids.add(sid)
-    affected = set(changed) | {e_new}
-    for sid in node_ids:
-        affected |= index.nodes[sid].members
-    projected = {f: up.get(f, wn.get(f, 0)) for f in affected}
-    return UpdateScope(
-        "insert", e_new, affected, node_ids, bound, projected, changed
-    )
-
-
-def _delete_scope(graph, wn, index, e_old):
-    p = wn.get(e_old, 0)
-    if p == 0:
-        return UpdateScope(
-            "delete", e_old, {e_old}, set(), 0, {e_old: 0}, set()
-        )
-    dying = list(graph.butterflies_of_edge(*e_old))
-    seeds = {index.per_edge_node[e_old]}
-    for b in dying:
-        es = butterfly_edges(b)
-        for x in es:
-            if x == e_old:
-                continue
-            px = wn.get(x, 0)
-            if px < 1:
-                continue
-            if min(wn.get(f, 0) for f in es if f != x) >= px:
-                sid = index.per_edge_node.get(x)
-                if sid is not None:
-                    seeds.add(sid)
-
-    cand = _closure(graph, e_old, lambda y: 1 <= wn.get(y, 0) <= p)
-    cand.discard(e_old)
-    up = {y: wn[y] for y in cand}
-    _fixpoint(graph, wn, up, {}, skip_edge=e_old)
-
-    changed = {f for f in up if up[f] != wn.get(f, 0)}
-    node_ids = set(seeds)
-    for f in changed:
-        sid = index.per_edge_node.get(f)
-        if sid is not None:
-            node_ids.add(sid)
-    affected = set(changed) | {e_old}
-    for sid in node_ids:
-        affected |= index.nodes[sid].members
-    projected = {f: up.get(f, wn.get(f, 0)) for f in affected}
-    projected[e_old] = 0
-    return UpdateScope(
-        "delete", e_old, affected, node_ids, p, projected, changed
-    )
-
-
-def affected_edges(graph, decomp, index, kind, u, v):
-    """Compute the update scope without mutating anything (the graph is
-    briefly modified and restored for inserts; not safe under concurrency)."""
-    wn = decomp.wing_number
+def _start_report(graph, wn, kind, u, v):
+    """Check the request and open its report, bound and delta filled in."""
     if kind == "insert":
-        bound, delta, partners = _insert_bound_parts(graph, wn, u, v)
-        graph.insert_edge(u, v)
-        try:
-            scope = _insert_scope(graph, wn, index, (u, v), bound, partners)
-        finally:
-            graph.delete_edge(u, v)
-        scope.delta = delta
-        return scope
+        bound, delta = _insert_bound(graph, wn, u, v)
+        return UpdateReport(kind, (u, v), bound, delta)
     if kind == "delete":
         if not graph.has_edge(u, v):
             raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
-        return _delete_scope(graph, wn, index, (u, v))
+        return UpdateReport(kind, (u, v), wn.get((u, v), 0), None)
     raise InvalidArgumentError(f"unknown update kind {kind!r}")
+
+
+def _scope(graph, wn, index, report):
+    """Fill in the report's scope for its edge e, which `graph` must hold.
+    Returns the butterflies through e: the ones an insert creates or a
+    delete destroys."""
+    e = report.edge
+    p = report.upper_bound
+    through = list(graph.butterflies_of_edge(*e))
+
+    def level(f):  # e counts at the bound on insert, at w(e) on delete
+        return p if f == e else wn.get(f, 0)
+
+    # a butterfly seeds the class of each other edge x that it chains: one
+    # whose level is at least 1 and at most the minimum of the other three
+    seeds = {index.per_edge_node.get(e)}
+    for b in through:
+        es = butterfly_edges(b)
+        for x in es:
+            if x != e and 1 <= level(x) <= min(level(f) for f in es if f != x):
+                seeds.add(index.per_edge_node.get(x))
+
+    if report.kind == "insert":
+        cand = _closure(graph, e, lambda y: wn.get(y, 0) < p)
+        cand.discard(e)
+        up = {y: min(p, graph.support(*y)) for y in cand}
+        up[e] = min(p, len(through))
+        _fixpoint(graph, wn, up, {y: wn.get(y, 0) for y in up})
+    else:
+        cand = _closure(graph, e, lambda y: 1 <= wn.get(y, 0) <= p)
+        cand.discard(e)
+        up = {y: wn[y] for y in cand}
+        _fixpoint(graph, wn, up, {}, skip_edge=e)
+
+    changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
+    seeds.update(index.per_edge_node.get(f) for f in changed)
+    seeds.discard(None)
+    affected = changed | {e}
+    for sid in seeds:
+        affected |= index.nodes[sid].members
+    report.affected_nodes = seeds
+    report.affected_edges = affected
+    for f in affected:
+        old = wn.get(f, 0)
+        new = up.get(f, 0 if f == e else old)  # a deleted e drops to 0
+        if old != new:
+            report.changed[f] = (old, new)
+    return through
+
+
+def affected_edges(graph, decomp, index, kind, u, v):
+    """The update's report before any surgery: bound, delta, the scope and
+    `changed`. Mutates nothing; an insert is evaluated on a copy."""
+    report = _start_report(graph, decomp.wing_number, kind, u, v)
+    if kind == "insert":
+        graph = graph.copy()
+        graph.insert_edge(u, v)
+    _scope(graph, decomp.wing_number, index, report)
+    return report
 
 
 def _reclassify(index, graph, wn, pool, removed_ids, r_total, events):
     """Re-form classes for the pooled edges, absorbing surviving classes the
-    chained BFS reaches (their ids join removed_ids, members join r_total)."""
+    chained BFS reaches (their ids join removed_ids, members join r_total).
+    Each component reports its absorbed ids in ascending order, since the
+    search itself follows set order."""
     new_ids = []
     pool = {f for f in pool if wn.get(f, 0) >= 1}
     visited = set()
@@ -314,6 +269,7 @@ def _reclassify(index, graph, wn, pool, removed_ids, r_total, events):
             continue
         level = wn[start]
         comp = []
+        absorbed = []
         stack = [start]
         visited.add(start)
         while stack:
@@ -334,13 +290,15 @@ def _reclassify(index, graph, wn, pool, removed_ids, r_total, events):
                         node = index.remove_node(sid)
                         removed_ids.add(sid)
                         r_total.update(node.members)
-                        events.append(
-                            f"absorbed surviving class {sid} at level {level}"
-                        )
+                        absorbed.append(sid)
                         for m in node.members:
                             if m not in visited:
                                 visited.add(m)
                                 stack.append(m)
+        events.extend(
+            f"absorbed surviving class {sid} at level {level}"
+            for sid in sorted(absorbed)
+        )
         nid = index.alloc_id()
         index.add_node(SuperNode(nid, level, comp))
         new_ids.append(nid)
@@ -408,177 +366,97 @@ def _recheck_class(index, graph, wn, c_id, removed_ids, r_total, events):
     return new_ids
 
 
-def _apply_count_delta(index, pairs, sign, touched_levels, level, events):
+def _butterflies_around(graph, edges):
+    """Each butterfly through any of `edges` once, in sorted edge order."""
+    around = {}
+    for f in sorted(edges):
+        if graph.has_edge(*f):
+            around.update(dict.fromkeys(graph.butterflies_of_edge(*f)))
+    return list(around)
+
+
+def _count_pass(index, butterflies, wn, class_of, sign, events):
+    """Add `sign` to the justification count of every super edge that each
+    butterfly supports under the given wing numbers and classes."""
     counts = index.edge_counts
-    for pair in pairs:
-        touched_levels.add(level)
-        c = counts.get(pair, 0) + sign
-        if c < 0:
-            events.append(f"negative count for super edge {pair}")
-            c = 0
-        if c == 0:
-            counts.pop(pair, None)
-            index.super_edge_set.discard(pair)
-        else:
-            counts[pair] = c
-            index.super_edge_set.add(pair)
+    for b in butterflies:
+        for pair in contribution_pairs(b, wn, class_of):
+            c = counts.get(pair, 0) + sign
+            if c < 0:
+                events.append(f"negative count for super edge {pair}")
+                c = 0
+            if c == 0:
+                counts.pop(pair, None)
+                index.super_edge_set.discard(pair)
+            else:
+                counts[pair] = c
+                index.super_edge_set.add(pair)
     index._adjacency = None
 
 
 def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
-    index in place. Returns an UpdateReport."""
+    index in place. Returns the UpdateReport that `affected_edges` would
+    give, widened by the surgery."""
     wn = decomp.wing_number
+    report = _start_report(graph, wn, kind, u, v)
+    e = report.edge
+    insert = kind == "insert"
     if index.edge_counts is None:
         rebuild_edge_counts(index, graph, wn)
-    e = (u, v)
     wn_old = dict(wn)
     class_old = dict(index.per_edge_node)
 
-    if kind == "insert":
-        bound, delta, partners = _insert_bound_parts(graph, wn, u, v)
+    if insert:
         graph.insert_edge(u, v)
-        scope = _insert_scope(graph, wn, index, e, bound, partners)
-        scope.delta = delta
-        dying = []
-        decomp.support[e] = len(partners)
-        for u2, v2 in partners:
-            for f in ((u, v2), (u2, v), (u2, v2)):
-                decomp.support[f] = decomp.support.get(f, 0) + 1
-    elif kind == "delete":
-        if not graph.has_edge(u, v):
-            raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
-        scope = _delete_scope(graph, wn, index, e)
-        dying = list(graph.butterflies_of_edge(u, v))
-        for b in dying:
-            for f in butterfly_edges(b):
-                if f != e and f in decomp.support:
-                    decomp.support[f] -= 1
+    through = _scope(graph, wn, index, report)
+    sign = 1 if insert else -1
+    for b in through:
+        for f in butterfly_edges(b):
+            if f != e:
+                decomp.support[f] += sign
+    if insert:
+        decomp.support[e] = len(through)
+    else:
         decomp.support.pop(e, None)
         graph.delete_edge(u, v)
-    else:
-        raise InvalidArgumentError(f"unknown update kind {kind!r}")
+    dying = [] if insert else through
 
-    report = UpdateReport(kind, e, scope.upper_bound, scope.delta)
-
-    # new wing numbers
-    changed_map = {}
-    for f in scope.affected_edges:
-        old = wn_old.get(f, 0)
-        new = scope.projected.get(f, old)
-        if old != new:
-            changed_map[f] = (old, new)
-    for f, (_old, new) in changed_map.items():
+    for f, (_old, new) in report.changed.items():
         wn[f] = new
-    if kind == "insert":
-        wn[e] = scope.projected.get(e, 0)
+    if insert:
+        wn.setdefault(e, 0)
     else:
         wn.pop(e, None)
-    report.changed = dict(changed_map)
-    for old, new in report.changed.values():
-        if old:
-            report.touched_levels.add(old)
-        if new:
-            report.touched_levels.add(new)
 
-    # partition surgery
-    removed_ids = set(scope.affected_nodes)
-    r_total = set(scope.affected_edges) | {e}
+    # partition surgery; absorbed classes widen the report's scope in place
+    removed_ids = report.affected_nodes
+    r_total = report.affected_edges
     events = report.events
-    for sid in scope.affected_nodes:
-        node = index.remove_node(sid)
-        report.touched_levels.add(node.level)
-    pool = {f for f in scope.affected_edges if f != e or kind == "insert"}
+    for sid in removed_ids:
+        index.remove_node(sid)
+    pool = {f for f in r_total if f != e or insert}
     new_ids = _reclassify(index, graph, wn, pool, removed_ids, r_total, events)
 
     # recheck surviving classes whose chaining may have shifted
     drop_side, rise_side = _collect_min_shift_edges(
-        graph, wn_old, wn, set(report.changed) | {e}, dying
+        graph, wn_old, wn, report.changed, dying
     )
-    recheck = set()
-    for f in drop_side:
-        sid = class_old.get(f)
-        if sid is not None and sid in index.nodes and sid not in set(new_ids):
-            recheck.add(sid)
-    for f in rise_side:
-        sid = index.per_edge_node.get(f)
-        if sid is not None and sid not in set(new_ids):
-            recheck.add(sid)
-    for sid in sorted(recheck):
-        more = _recheck_class(
+    recheck = {class_old.get(f) for f in drop_side}
+    recheck.update(index.per_edge_node.get(f) for f in rise_side)
+    for sid in sorted(recheck & index.nodes.keys() - set(new_ids)):
+        new_ids += _recheck_class(
             index, graph, wn, sid, removed_ids, r_total, events
         )
-        new_ids.extend(more)
     report.new_node_ids = new_ids
-    report.removed_node_ids = removed_ids
-    report.affected_nodes = set(removed_ids)
-    report.affected_edges = set(r_total)
-    for f in r_total:
-        w0, w1 = wn_old.get(f, 0), wn.get(f, 0)
-        if w0:
-            report.touched_levels.add(w0)
-        if w1:
-            report.touched_levels.add(w1)
-    for nid in new_ids:
-        if nid in index.nodes:
-            report.touched_levels.add(index.nodes[nid].level)
 
-    # super edge surgery via justification counts
-    seen = set()
-    for f in sorted(r_total):
-        if not graph.has_edge(*f):
-            continue
-        for b in graph.butterflies_of_edge(*f):
-            if b in seen:
-                continue
-            seen.add(b)
-            if kind == "insert" and e in butterfly_edges(b):
-                continue
-            es = butterfly_edges(b)
-            mo = min(wn_old.get(g, 0) for g in es)
-            if mo >= 1:
-                _apply_count_delta(
-                    index,
-                    contribution_pairs(b, wn_old, class_old),
-                    -1,
-                    report.touched_levels,
-                    mo,
-                    events,
-                )
-    for b in dying:
-        if b in seen:
-            continue
-        seen.add(b)
-        es = butterfly_edges(b)
-        mo = min(wn_old.get(g, 0) for g in es)
-        if mo >= 1:
-            _apply_count_delta(
-                index,
-                contribution_pairs(b, wn_old, class_old),
-                -1,
-                report.touched_levels,
-                mo,
-                events,
-            )
-    seen = set()
-    for f in sorted(r_total):
-        if not graph.has_edge(*f):
-            continue
-        for b in graph.butterflies_of_edge(*f):
-            if b in seen:
-                continue
-            seen.add(b)
-            es = butterfly_edges(b)
-            mn = min(wn.get(g, 0) for g in es)
-            if mn >= 1:
-                _apply_count_delta(
-                    index,
-                    contribution_pairs(b, wn, index.per_edge_node),
-                    +1,
-                    report.touched_levels,
-                    mn,
-                    events,
-                )
+    # super edge surgery via justification counts: take back what the old
+    # butterflies around the scope and the dying ones gave, then add what
+    # the butterflies around it give now (an insert's new butterflies hold
+    # e, which the old wing numbers lack, so they take nothing back)
+    around = _butterflies_around(graph, r_total)
+    _count_pass(index, around + dying, wn_old, class_old, -1, events)
+    _count_pass(index, around, wn, index.per_edge_node, +1, events)
     index.refresh_k_max()
 
     # defensive validation; fall back to a scratch rebuild on any violation
@@ -597,21 +475,23 @@ def apply_update(graph, decomp, index, kind, u, v):
             )
         index.replace_with(rebuilt)
         report.fell_back = True
-        report.touched_levels = set(index.level_histogram())
     return report
 
 
 def apply_update_comp(graph, decomp, index, comp, kind, u, v):
-    """Like apply_update, additionally recompressing only the levels the
-    update touched. Returns (report, new_comp)."""
+    """Like apply_update, additionally recompressing only the levels up to
+    the highest one the update touched. Returns (report, new_comp)."""
     report = apply_update(graph, decomp, index, kind, u, v)
-    lmax = max(report.touched_levels, default=0)
     if report.fell_back or comp is None:
-        new_comp = compress(index)
-    elif lmax <= 0:
-        new_comp = comp
-    else:
-        new_comp = compress(
-            index, levels=set(range(1, lmax + 1)), base=comp
-        )
-    return report, new_comp
+        return report, compress(index)
+    # every level surgery touched is the new level of a scope edge or the
+    # old level of a changed one
+    wn = decomp.wing_number
+    lmax = max(
+        [wn.get(f, 0) for f in report.affected_edges]
+        + [old for old, _new in report.changed.values()],
+        default=0,
+    )
+    if lmax <= 0:
+        return report, comp
+    return report, compress(index, levels=set(range(1, lmax + 1)), base=comp)

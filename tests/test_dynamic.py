@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from wingsearch import dynamic
 from wingsearch import (
     BipartiteGraph,
     affected_edges,
@@ -148,9 +152,9 @@ class TestScope:
             set(FIG2_CLASSES[5]) | set(FIG2_CLASSES[6])
         )
         assert len(scope.affected_edges) == 11
-        assert scope.changed == set(FIG2_CLASSES[5]) | (
-            set(FIG2_CLASSES[6]) - {("v7", "u6")}
-        )
+        # the deleted edge itself drops from 4 to 0
+        assert set(scope.changed) == set(FIG2_CLASSES[5]) | set(FIG2_CLASSES[6])
+        assert scope.changed[("v7", "u6")] == (4, 0)
 
     def test_delete_of_plain_edge_is_local(self):
         g = build([("a1", "b1"), ("a1", "b2"), ("a1", "b3")])
@@ -159,6 +163,28 @@ class TestScope:
         scope = affected_edges(g, d, index, "delete", "a1", "b2")
         assert scope.affected_edges == {("a1", "b2")}
         assert scope.affected_nodes == set()
+
+    def test_scope_mutates_nothing(self, fig2_graph):
+        class FrozenGraph(BipartiteGraph):
+            def insert_edge(self, u, v):
+                raise AssertionError("affected_edges inserted an edge")
+
+            def delete_edge(self, u, v):
+                raise AssertionError("affected_edges deleted an edge")
+
+        g, d, index = fig2_state(fig2_graph)
+        frozen = FrozenGraph()
+        frozen.adj_u, frozen.adj_v = g.adj_u, g.adj_v
+        before = (serialize(index), dict(d.wing_number), dict(d.support))
+        scope = affected_edges(frozen, d, index, "insert", "v4", "u6")
+        assert (scope.upper_bound, scope.delta) == (4, 2)
+        assert scope.affected_nodes == {3, 4, 5}
+        assert len(scope.affected_edges) == 12
+        scope = affected_edges(frozen, d, index, "delete", "v7", "u6")
+        assert scope.affected_nodes == {5, 6}
+        assert len(scope.affected_edges) == 11
+        assert (serialize(index), d.wing_number, d.support) == before
+        assert frozen.sorted_edges() == fig2_graph.sorted_edges()
 
     def test_bad_kind_and_missing_edge(self, fig2_graph):
         g, d, index = fig2_state(fig2_graph)
@@ -235,6 +261,73 @@ class TestApplyDelete:
         g, d, index = fig2_state(fig2_graph)
         with pytest.raises(UnknownEdgeError):
             apply_update(g, d, index, "delete", "v4", "u6")
+
+
+class TestDeterministicEvents:
+    """Payload lines must not depend on Python's string hash seed. This
+    delete absorbs two surviving classes into one re-formed class, and the
+    search that finds them follows set order."""
+
+    SCRIPT = (
+        "from wingsearch import *\n"
+        "g = BipartiteGraph()\n"
+        "for e in generate_bipartite(60, 60, 0.06, 91, [(8, 8, 0.9)]):\n"
+        "    g.insert_edge(*e)\n"
+        "d = wing_decomposition(g)\n"
+        "ix = build_equiwing(g, d)\n"
+        "r = apply_update(g, d, ix, 'delete', 'a41', 'b32')\n"
+        "print('\\n'.join(r.lines()))\n"
+    )
+
+    def test_lines_equal_under_every_hash_seed(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            outs.add(subprocess.run(
+                [sys.executable, "-c", self.SCRIPT], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outs) == 1
+        (out,) = outs
+        assert out.count("event absorbed surviving class") == 2
+
+
+class TestRecheck:
+    """A surviving class whose chaining a butterfly's min-level shift may
+    have altered is re-formed on its own; found whole, it must come back
+    under its own id with the same members and level."""
+
+    @pytest.mark.parametrize(
+        "kind,u,v,rechecked",
+        [("insert", "a12", "b1", [10]), ("delete", "a14", "b4", [11])],
+        ids=["insert", "delete"],
+    )
+    def test_class_found_whole_keeps_its_id(self, monkeypatch, kind, u, v,
+                                            rechecked):
+        g = build(generate_bipartite(16, 16, 0.15, 4, [(6, 6, 0.9)]))
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        before = {s: (n.level, n.members) for s, n in index.nodes.items()}
+        calls = []
+        real = dynamic._recheck_class
+
+        def spy(index, graph, wn, c_id, *rest):
+            out = real(index, graph, wn, c_id, *rest)
+            calls.append((c_id, out))
+            return out
+
+        monkeypatch.setattr(dynamic, "_recheck_class", spy)
+        report = apply_update(g, d, index, kind, u, v)
+        assert [c_id for c_id, _out in calls] == rechecked
+        for c_id, out in calls:
+            assert out == []
+            node = index.nodes[c_id]
+            assert (node.level, node.members) == before[c_id]
+            assert c_id not in report.affected_nodes
+        assert not any("rechained" in ev for ev in report.events)
+        assert_matches_scratch(g, d, index)
 
 
 class TestFallbackValve:
@@ -381,3 +474,38 @@ class TestOrderCaches:
             assert serialize(comp) == serialize(cold_comp), step
             for ix in (index, comp, cold_index, cold_comp):
                 assert all(type(n.members) is frozenset for n in ix.nodes.values())
+
+
+class TestMidScale:
+    """Maintenance against a rebuild where classes are large: a 1,702-edge
+    graph with two planted 12x12 blocks, whose largest classes hold 349 and
+    287 members. Every step is checked against a scratch decomposition,
+    build and compression. Budget: about 5-10 s on 2 vCPUs."""
+
+    def test_mutations_track_a_rebuild(self):
+        g = build(generate_bipartite(200, 200, 0.035, 91, [(12, 12, 0.9)] * 2))
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        comp = compress(index)
+        sizes = sorted((len(n.members) for n in index.nodes.values()), reverse=True)
+        assert sizes[:2] == [349, 287]
+        r = random.Random(17)
+        for step in range(24):
+            largest = max(index.nodes.values(), key=lambda n: len(n.members))
+            if step % 2:  # delete: inside the largest class, or anywhere
+                pool = largest.ordered() if step % 4 == 1 else g.sorted_edges()
+                kind, (u, v) = "delete", r.choice(pool)
+            else:  # insert: between the largest class's vertices, or anywhere
+                if step % 4 == 0:
+                    us = sorted({a for a, _ in largest.members})
+                    vs = sorted({b for _, b in largest.members})
+                else:
+                    us, vs = sorted(g.adj_u), sorted(g.adj_v)
+                u, v = r.choice(us), r.choice(vs)
+                while g.has_edge(u, v):
+                    u, v = r.choice(us), r.choice(vs)
+                kind = "insert"
+            report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
+            assert report.fell_back is False, step
+            assert_matches_scratch(g, d, index)
+            assert levelled_members(comp) == levelled_members(compress(index))
