@@ -8,8 +8,12 @@ RNG, and time each engine on the same query set.
 import random
 import time
 
+from .errors import InvalidArgumentError
+
 
 def degree_buckets(graph, n_buckets=10):
+    if n_buckets < 1:
+        raise InvalidArgumentError(f"need at least one bucket, got {n_buckets}")
     degs = [(len(nbrs), lbl) for lbl, nbrs in graph.adj_u.items()]
     degs += [(len(nbrs), lbl) for lbl, nbrs in graph.adj_v.items()]
     degs.sort()
@@ -31,6 +35,10 @@ def run_bench(graph, engines, k, per_bucket=100, seed=0, n_buckets=10):
     """engines: list of (name, fn) with fn(q, k) -> wings. Every engine sees
     the same query vertices. Returns one row per bucket:
     {"bucket": i, "queries": n, "means": {name: seconds}}."""
+    if per_bucket < 1:
+        raise InvalidArgumentError(
+            f"need at least one query per bucket, got {per_bucket}"
+        )
     rng = random.Random(seed)
     rows = []
     for bi, bucket in enumerate(degree_buckets(graph, n_buckets)):

@@ -227,8 +227,8 @@ def cmd_update(args):
     if kind == "comp":
         loaded, index = index, build_equiwing(graph, decomp)
         _verify_index_matches(graph, decomp, loaded, shadow=index)
-        # the file's merge log names ids of the build that wrote it, so it
-        # cannot serve as the partial-recompression base for this build
+        # the file's merge log names ids of the build that wrote it, so
+        # compress this build's index afresh
         comp = compress(index)
     else:
         _verify_index_matches(graph, decomp, index)

@@ -2,9 +2,10 @@
 the same connected component of the sub-super-graph induced on levels >= k
 answer identically for every query at k, so they merge into one node.
 
-Levels are independent, which is what makes partial recompression after an
-update sound. The merged node keeps the smallest participating id and the
-merge log records old -> kept mappings so files stay self-describing.
+As k falls, the components on levels >= k only merge, so one union-find
+pass from the top level down finds every level's groups; an update simply
+compresses again. The merged node keeps the smallest participating id and
+the merge log records old -> kept mappings so files stay self-describing.
 
 The result is an EquiWingIndex with `merge_log` set, so it is answered by the
 same walk and written by the same serializer: `query_comp` and
@@ -16,70 +17,50 @@ from .equiwing import (
     EquiWingIndex,
     SuperNode,
     deserialize_comp,
+    find_root,
     query_equiwing as query_comp,
     serialize as serialize_comp,
 )
 
 
-def _level_merge_groups(index, level):
-    """Groups (lists of node ids, len >= 2) of level-`level` nodes sharing a
-    component of the sub-super-graph induced on levels >= level."""
-    adj = index.adjacency()
+def compress(index):
+    """Compress `index` in one union-find pass over its super edges.
+
+    Nodes join the union-find by descending level, each united with the
+    neighbours already in. Once every level-k node is in, the roots are the
+    components of the sub-super-graph induced on levels >= k, so the
+    level-k nodes under one root form one merged node, which keeps the
+    smallest id. A node merged with nothing is shared with `index` as it
+    is.
+    """
     nodes = index.nodes
-    visited = set()
-    groups = []
+    adj = index.adjacency()
+    by_level = {}
     for sid in sorted(nodes):
-        if nodes[sid].level != level or sid in visited:
-            continue
-        stack = [sid]
-        visited.add(sid)
-        here = []
-        while stack:
-            cur = stack.pop()
-            if nodes[cur].level == level:
-                here.append(cur)
-            for nb in adj[cur]:
-                if nb not in visited and nodes[nb].level >= level:
-                    visited.add(nb)
-                    stack.append(nb)
-        if len(here) > 1:
-            groups.append(sorted(here))
-    return groups
-
-
-def compress(index, levels=None, base=None):
-    """Compress `index`. With `levels` and `base`, only those levels are
-    recomputed and the rest reuse `base`'s grouping (partial recompression
-    after an update touching a bounded level range)."""
-    keep_of = {sid: sid for sid in index.nodes}
-    all_levels = sorted({n.level for n in index.nodes.values()})
-    reuse = set()
-    if levels is not None and base is not None:
-        reuse = {lv for lv in all_levels if lv not in levels}
-        old_groups = {}
-        for old, kept in base.merge_log:
-            old_groups.setdefault(kept, []).append(old)
-        for kept, olds in old_groups.items():
-            node = base.nodes.get(kept)
-            if node is None or node.level not in reuse:
-                continue
-            for old in olds:
-                if old in keep_of:
-                    keep_of[old] = kept
-    for lv in all_levels:
-        if lv in reuse:
-            continue
-        for group in _level_merge_groups(index, lv):
-            kept = group[0]
-            for sid in group[1:]:
-                keep_of[sid] = kept
+        by_level.setdefault(nodes[sid].level, []).append(sid)
+    parent = {}
+    keep_of = {}
+    groups = []
+    for level in sorted(by_level, reverse=True):
+        for sid in by_level[level]:
+            parent[sid] = sid
+            for nb in adj[sid]:
+                if nb in parent:
+                    parent[find_root(parent, nb)] = find_root(parent, sid)
+        here = {}
+        for sid in by_level[level]:  # ascending, so a group's first is kept
+            here.setdefault(find_root(parent, sid), []).append(sid)
+        for group in here.values():
+            keep_of.update(dict.fromkeys(group, group[0]))
+            groups.append(group)
 
     comp = EquiWingIndex()
-    members = {}
-    for sid, node in index.nodes.items():
-        members.setdefault(keep_of[sid], set()).update(node.members)
-    for kept in sorted(members):
-        comp.add_node(SuperNode(kept, index.nodes[kept].level, members[kept]))
+    for group in sorted(groups):
+        node = nodes[group[0]]
+        if len(group) > 1:
+            members = frozenset().union(*(nodes[s].members for s in group))
+            node = SuperNode(group[0], node.level, members)
+        comp.add_node(node)
     for a, b in index.super_edge_set:
         ka, kb = keep_of[a], keep_of[b]
         if ka != kb:
@@ -88,7 +69,6 @@ def compress(index, levels=None, base=None):
         (sid, kept) for sid, kept in keep_of.items() if sid != kept
     )
     comp.refresh_k_max()
-    comp._adjacency = None
     return comp
 
 

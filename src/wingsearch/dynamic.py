@@ -21,21 +21,17 @@ delete); only the candidate filter, the start values and the floors of the
 fixpoint differ by kind. Index surgery then removes the affected classes,
 re-forms them by chained BFS (absorbing surviving classes it runs into,
 defensively widening the scope), rechecks surviving classes whose chaining
-a butterfly's min-level shift may have altered, and patches super edges
-through per-pair butterfly justification counts. A structural validation
-pass runs after every update; on any violation the index is rebuilt from
-scratch and the report says so.
+a butterfly's min-level shift may have altered, and patches the super
+edges' justification counts with the build's own bloom kernel, over the
+left-vertex pairs that meet the scope. A structural validation pass runs
+after every update; on any violation the index is rebuilt from scratch and
+the report says so.
 """
 
 from collections import deque
 
 from .compress import compress
-from .equiwing import (
-    SuperNode,
-    build_equiwing,
-    contribution_pairs,
-    rebuild_edge_counts,
-)
+from .equiwing import SuperNode, add_bloom, build_equiwing, rebuild_edge_counts
 from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -366,31 +362,48 @@ def _recheck_class(index, graph, wn, c_id, removed_ids, r_total, events):
     return new_ids
 
 
-def _butterflies_around(graph, edges):
-    """Each butterfly through any of `edges` once, in sorted edge order."""
-    around = {}
-    for f in sorted(edges):
-        if graph.has_edge(*f):
-            around.update(dict.fromkeys(graph.butterflies_of_edge(*f)))
-    return list(around)
+def _patch_counts(graph, index, report, wn, wn_old, class_old):
+    """Patch the justification counts bloom by bloom. Every left-vertex pair
+    that shares a neighbour over a scope edge takes back its old bloom under
+    the old wing numbers and classes and adds its new one under the new
+    maps. A pair that meets no scope edge holds only edges whose level and
+    class did not move, so its two terms would cancel. A deleted e' = (u, v)
+    is back in the old blooms of u with each remaining neighbour of v; an
+    inserted e' is missing from the old wing numbers, so on the old side its
+    butterflies count at level 0 and contribute nothing."""
+    adj_u, adj_v = graph.adj_u, graph.adj_v
+    pairs = set()
+    for u1, x in report.affected_edges:  # e' included
+        for u2 in adj_v.get(x, ()):
+            if u2 != u1:
+                pairs.add((u1, u2) if u1 < u2 else (u2, u1))
+    u, v = report.edge
+    regain = set()
+    if report.kind == "delete":
+        regain = {(u, w) if u < w else (w, u) for w in adj_v.get(v, ())}
+    none = frozenset()
+    delta = {}
+    for pair in pairs:
+        u1, u2 = pair
+        common = adj_u.get(u1, none) & adj_u.get(u2, none)
+        old = common | {v} if pair in regain else common
+        if len(old) < 2:
+            continue
+        add_bloom(delta, u1, u2, common, wn, index.per_edge_node, 1)
+        add_bloom(delta, u1, u2, old, wn_old, class_old, -1)
 
-
-def _count_pass(index, butterflies, wn, class_of, sign, events):
-    """Add `sign` to the justification count of every super edge that each
-    butterfly supports under the given wing numbers and classes."""
     counts = index.edge_counts
-    for b in butterflies:
-        for pair in contribution_pairs(b, wn, class_of):
-            c = counts.get(pair, 0) + sign
-            if c < 0:
-                events.append(f"negative count for super edge {pair}")
-                c = 0
-            if c == 0:
-                counts.pop(pair, None)
-                index.super_edge_set.discard(pair)
-            else:
-                counts[pair] = c
-                index.super_edge_set.add(pair)
+    for pair in sorted(delta):
+        c = counts.get(pair, 0) + delta[pair]
+        if c < 0:
+            report.events.append(f"negative count for super edge {pair}")
+            c = 0
+        if c == 0:
+            counts.pop(pair, None)
+            index.super_edge_set.discard(pair)
+        else:
+            counts[pair] = c
+            index.super_edge_set.add(pair)
     index._adjacency = None
 
 
@@ -450,13 +463,7 @@ def apply_update(graph, decomp, index, kind, u, v):
         )
     report.new_node_ids = new_ids
 
-    # super edge surgery via justification counts: take back what the old
-    # butterflies around the scope and the dying ones gave, then add what
-    # the butterflies around it give now (an insert's new butterflies hold
-    # e, which the old wing numbers lack, so they take nothing back)
-    around = _butterflies_around(graph, r_total)
-    _count_pass(index, around + dying, wn_old, class_old, -1, events)
-    _count_pass(index, around, wn, index.per_edge_node, +1, events)
+    _patch_counts(graph, index, report, wn, wn_old, class_old)
     index.refresh_k_max()
 
     # defensive validation; fall back to a scratch rebuild on any violation
@@ -479,19 +486,11 @@ def apply_update(graph, decomp, index, kind, u, v):
 
 
 def apply_update_comp(graph, decomp, index, comp, kind, u, v):
-    """Like apply_update, additionally recompressing only the levels up to
-    the highest one the update touched. Returns (report, new_comp)."""
+    """Like apply_update, keeping a compressed copy in step: `comp` comes
+    back as it was when the update removed and formed no class, and is
+    otherwise compressed afresh. Returns (report, new_comp)."""
     report = apply_update(graph, decomp, index, kind, u, v)
-    if report.fell_back or comp is None:
+    untouched = not report.affected_nodes and not report.new_node_ids
+    if comp is None or report.fell_back or not untouched:
         return report, compress(index)
-    # every level surgery touched is the new level of a scope edge or the
-    # old level of a changed one
-    wn = decomp.wing_number
-    lmax = max(
-        [wn.get(f, 0) for f in report.affected_edges]
-        + [old for old, _new in report.changed.values()],
-        default=0,
-    )
-    if lmax <= 0:
-        return report, comp
-    return report, compress(index, levels=set(range(1, lmax + 1)), base=comp)
+    return report, comp

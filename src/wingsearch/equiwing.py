@@ -23,7 +23,6 @@ import hashlib
 
 from .decomposition import wing_decomposition
 from .errors import IndexFormatError, InternalConsistencyError
-from .graph import butterfly_edges
 
 FORMAT_HEADER = "EQUIWING v1"
 COMP_FORMAT_HEADER = "EQUIWING-COMP v1"
@@ -200,27 +199,14 @@ class EquiWingIndex:
         return problems
 
 
-def contribution_pairs(b, wn, class_of):
-    """Super-edge contributions of one butterfly under the given wing numbers
-    and edge->node map: pairs (min-level class, other class)."""
-    es = butterfly_edges(b)
-    levels = [wn.get(e, 0) for e in es]
-    m = min(levels)
-    if m < 1:
-        return ()
-    a = None
-    for e, lv in zip(es, levels):
-        if lv == m:
-            a = class_of.get(e)
-            break
-    if a is None:
-        return ()
-    out = set()
-    for e in es:
-        d = class_of.get(e)
-        if d is not None and d != a:
-            out.add((min(a, d), max(a, d)))
-    return out
+def find_root(parent, x):
+    """Root of x in the union-find forest `parent`, compressing the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
 
 def build_equiwing(graph, decomp=None):
@@ -233,15 +219,6 @@ def build_equiwing(graph, decomp=None):
     # fall in one class, unless x is alone at the bloom's top level: then
     # each of its butterflies has its minimum on the other vertex
     parent = {e: e for e, w in wn.items() if w >= 1}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     level = wn.get
     for u1, u2, common in graph.blooms():
         at = {}  # w_x -> the level-w_x edges of each such x
@@ -263,7 +240,7 @@ def build_equiwing(graph, decomp=None):
             first = None
             for es in xs:
                 for e in es:
-                    root = find(e)
+                    root = find_root(parent, e)
                     if first is None:
                         first = root
                     elif root != first:
@@ -271,7 +248,7 @@ def build_equiwing(graph, decomp=None):
 
     groups = {}
     for e in parent:
-        groups.setdefault(find(e), []).append(e)
+        groups.setdefault(find_root(parent, e), []).append(e)
 
     index = EquiWingIndex()
     ordered = sorted(groups.values(), key=lambda g: (wn[g[0]], min(g)))
@@ -287,7 +264,16 @@ def build_equiwing(graph, decomp=None):
 
 
 def _edge_counts(graph, wn, class_of):
-    """Butterfly justification count of every super edge, bloom by bloom.
+    """Butterfly justification count of every super edge, bloom by bloom."""
+    counts = {}
+    for u1, u2, common in graph.blooms():
+        add_bloom(counts, u1, u2, common, wn, class_of, 1)
+    return counts
+
+
+def add_bloom(counts, u1, u2, common, wn, class_of, sign):
+    """Add `sign` times the justification counts that the bloom of u1 < u2
+    over `common` gives under the wing numbers `wn` and classes `class_of`.
 
     The butterfly {x, y} of a bloom pairs the class of its min-level edge
     with each other class among its four edges. Key each common neighbour x
@@ -296,30 +282,27 @@ def _edge_counts(graph, wn, class_of):
     butterflies between two keys then contribute the same pairs, with `a`
     taken from the lower key: n_i * n_j of them, or C(n, 2) within a key.
     """
-    counts = {}
     level, cls = wn.get, class_of.get
-    for u1, u2, common in graph.blooms():
-        keys = {}
-        for x in common:
-            e1, e2 = (u1, x), (u2, x)
-            w1, w2 = level(e1, 0), level(e2, 0)
-            c1, c2 = cls(e1, 0), cls(e2, 0)
-            key = (w1, c1, c1, c2) if w1 <= w2 else (w2, c2, c1, c2)
-            keys[key] = keys.get(key, 0) + 1
-        items = sorted(keys.items())
-        for i, ((w, a, c1, c2), n) in enumerate(items):
-            if w < 1 or not a:
-                continue  # the lower key has no level or no class
-            for j in range(i, len(items)):
-                (_w, _a, d1, d2), nj = items[j]
-                weight = n * (n - 1) // 2 if j == i else n * nj
-                if not weight:
-                    continue
-                for d in {c1, c2, d1, d2}:
-                    if d and d != a:
-                        pair = (a, d) if a < d else (d, a)
-                        counts[pair] = counts.get(pair, 0) + weight
-    return counts
+    keys = {}
+    for x in common:
+        e1, e2 = (u1, x), (u2, x)
+        w1, w2 = level(e1, 0), level(e2, 0)
+        c1, c2 = cls(e1, 0), cls(e2, 0)
+        key = (w1, c1, c1, c2) if w1 <= w2 else (w2, c2, c1, c2)
+        keys[key] = keys.get(key, 0) + 1
+    items = sorted(keys.items())
+    for i, ((w, a, c1, c2), n) in enumerate(items):
+        if w < 1 or not a:
+            continue  # the lower key has no level or no class
+        for j in range(i, len(items)):
+            (_w, _a, d1, d2), nj = items[j]
+            weight = sign * (n * (n - 1) // 2 if j == i else n * nj)
+            if not weight:
+                continue
+            for d in {c1, c2, d1, d2}:
+                if d and d != a:
+                    pair = (a, d) if a < d else (d, a)
+                    counts[pair] = counts.get(pair, 0) + weight
 
 
 def rebuild_edge_counts(index, graph, wn):

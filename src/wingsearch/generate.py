@@ -2,13 +2,20 @@
 
 import random
 
+from .errors import InvalidArgumentError
+
 
 def generate_bipartite(n_u, n_v, p, seed, blocks=()):
     """Random bipartite edge list: every (u, v) pair independently with
     probability p, plus planted dense blocks. Each block is (rows, cols, q):
     a random rows x cols sub-rectangle filled with per-cell probability q.
     Deterministic for a given seed; labels a0..., b0...; returns sorted
-    edge tuples."""
+    edge tuples. A block larger than its side raises InvalidArgumentError."""
+    for rows, cols, _q in blocks:
+        if not (0 <= rows <= n_u and 0 <= cols <= n_v):
+            raise InvalidArgumentError(
+                f"block {rows}x{cols} does not fit a {n_u}x{n_v} graph"
+            )
     rng = random.Random(seed)
     edges = set()
     for i in range(n_u):

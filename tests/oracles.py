@@ -170,3 +170,34 @@ def justification_counts_oracle(edges):
         for d in {class_of[e] for e in es} - {a}:
             counts[frozenset((a, d))] += 1
     return dict(counts)
+
+
+def compressed_groups_oracle(levels, super_edges):
+    """Merge groups of a super graph, by definition: for each level k, the
+    level-k nodes that share a component of the sub-super-graph induced on
+    levels >= k form one group. `levels` maps node id -> level and
+    `super_edges` holds (a, b) id pairs. Returns a set of frozensets of
+    node ids, one per group, nodes that merge with nothing included."""
+    adj = defaultdict(set)
+    for a, b in super_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    groups = set()
+    for k in sorted(set(levels.values())):
+        seen = set()
+        for start in sorted(levels):
+            if levels[start] != k or start in seen:
+                continue
+            stack = [start]
+            seen.add(start)
+            here = set()
+            while stack:
+                cur = stack.pop()
+                if levels[cur] == k:
+                    here.add(cur)
+                for nb in adj[cur]:
+                    if nb not in seen and levels[nb] >= k:
+                        seen.add(nb)
+                        stack.append(nb)
+            groups.add(frozenset(here))
+    return groups

@@ -300,6 +300,16 @@ class TestGen:
         )
         assert code == 3 and "ROWS:COLS:PROB" in err
 
+    @pytest.mark.parametrize("block", ["5:5:0.9", "3:4:0.9", "-1:2:0.9"])
+    def test_block_larger_than_its_side(self, capsys, tmp_path, block):
+        out = tmp_path / "x.tsv"
+        code, _, err = run(
+            capsys, "gen", "--nu", "3", "--nv", "3", "--p", "0.5",
+            f"--block={block}", "--out", str(out),
+        )
+        assert code == 3 and "does not fit" in err
+        assert not out.exists()
+
 
 class TestStats:
     def test_plain(self, capsys, ew_path):
@@ -334,6 +344,15 @@ class TestBench:
         for row in lines[1:]:
             cells = row.split("\t")
             assert len(cells) == 5 and int(cells[1]) >= 1
+
+    @pytest.mark.parametrize("flag", ["--buckets", "--per-bucket"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_counts_below_one_rejected(self, capsys, fig2_path, flag, value):
+        code, _, err = run(
+            capsys, "bench", "--graph", str(fig2_path), "-k", "1",
+            f"{flag}={value}",
+        )
+        assert code == 3 and "at least one" in err
 
 
 class TestExitCodes:

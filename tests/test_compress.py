@@ -2,11 +2,14 @@ import pytest
 
 from wingsearch import (
     BipartiteGraph,
+    EquiWingIndex,
+    SuperNode,
     baseline_search,
     build_equiwing,
     compress,
     deserialize,
     deserialize_comp,
+    generate_bipartite,
     is_forest,
     query_comp,
     query_equiwing,
@@ -16,6 +19,7 @@ from wingsearch import (
 from wingsearch.errors import IndexFormatError
 
 from conftest import FIG2_CLASSES, random_bipartite_edges
+from oracles import compressed_groups_oracle
 
 
 def build(edges):
@@ -102,10 +106,71 @@ class TestCompressionProperties:
     def test_recompressing_unchanged_index_is_stable(self, fig2_graph):
         index = build_equiwing(fig2_graph)
         full = compress(index)
-        for levels in (None, set(range(1, index.k_max + 1)), {1}, {2, 3}):
-            again = compress(index, levels=levels, base=full)
-            assert member_map(again) == member_map(full)
-            assert sorted(again.merge_log) == sorted(full.merge_log)
+        again = compress(index)
+        assert member_map(again) == member_map(full)
+        assert sorted(again.merge_log) == sorted(full.merge_log)
+
+
+def hand_index(levels, super_edges):
+    """A super graph given by node levels and super edges, each node
+    holding one edge of its own."""
+    index = EquiWingIndex()
+    for sid, level in levels.items():
+        index.add_node(SuperNode(sid, level, [(f"u{sid}", f"v{sid}")]))
+    index.super_edge_set = {(min(a, b), max(a, b)) for a, b in super_edges}
+    return index
+
+
+def checked_groups(index):
+    """compress(index)'s merge groups, after checking them against the
+    definitional oracle and checking each merged node's id, level and
+    members."""
+    comp = compress(index)
+    groups = {kept: {kept} for kept in comp.nodes}
+    for old, kept in comp.merge_log:
+        groups[kept].add(old)
+    groups = {frozenset(g) for g in groups.values()}
+    levels = {sid: n.level for sid, n in index.nodes.items()}
+    assert groups == compressed_groups_oracle(levels, index.super_edge_set)
+    for group in groups:
+        node = comp.nodes[min(group)]
+        assert node.level == levels[min(group)]
+        assert node.members == frozenset().union(
+            *(index.nodes[s].members for s in group)
+        )
+    return groups
+
+
+class TestAgainstOracle:
+    def test_joined_through_a_higher_level_node_merge(self):
+        index = hand_index({1: 2, 2: 2, 3: 5}, [(1, 3), (2, 3)])
+        assert checked_groups(index) == {frozenset({1, 2}), frozenset({3})}
+
+    def test_joined_through_a_lower_level_node_stay_apart(self):
+        index = hand_index({1: 2, 2: 2, 3: 1}, [(1, 3), (2, 3)])
+        assert checked_groups(index) == {
+            frozenset({1}), frozenset({2}), frozenset({3})
+        }
+
+    def test_both_traps_on_several_levels(self):
+        # 1 and 3 meet through 2 above them; 5 reaches them only through 4
+        # below; 4 and 7 meet through 8; 2 and 8 meet through 9
+        levels = {1: 3, 2: 4, 3: 3, 4: 2, 5: 3, 6: 1, 7: 2, 8: 4, 9: 5}
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (4, 8), (8, 7), (8, 9),
+                 (2, 9), (6, 5), (6, 7)]
+        assert checked_groups(hand_index(levels, edges)) == {
+            frozenset(g) for g in ({1, 3}, {2, 8}, {9}, {4, 7}, {5}, {6})
+        }
+
+    def test_planted_block_graphs(self):
+        merged = 0
+        for seed in range(100):
+            edges = generate_bipartite(
+                16, 16, 0.12, seed, [(6, 6, 0.9), (5, 5, 0.8)]
+            )
+            groups = checked_groups(build_equiwing(build(edges)))
+            merged += any(len(g) > 1 for g in groups)
+        assert merged >= 80
 
 
 class TestForestShape:

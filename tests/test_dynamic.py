@@ -26,6 +26,7 @@ from wingsearch import (
 from wingsearch.errors import InvalidArgumentError, UnknownEdgeError
 
 from conftest import FIG2_CLASSES, random_bipartite_edges
+from oracles import justification_counts_oracle
 
 
 def build(edges):
@@ -328,6 +329,25 @@ class TestRecheck:
             assert c_id not in report.affected_nodes
         assert not any("rechained" in ev for ev in report.events)
         assert_matches_scratch(g, d, index)
+
+
+class TestCountPatch:
+    """Counts are patched per pair of left vertices: a delete can leave a
+    pair with fewer than two common neighbours, whose old bloom must still
+    be taken back, and an insert can give a pair its first bloom."""
+
+    def test_bloom_dies_then_returns(self, fig2_graph):
+        g, d, index = fig2_state(fig2_graph)
+        # (v1, v2) share u1 and u2; without (v1, u1) they share u2 only
+        assert g.adj_u["v1"] & g.adj_u["v2"] == {"u1", "u2"}
+        for kind in ("delete", "insert"):
+            report = apply_update(g, d, index, kind, "v1", "u1")
+            assert report.fell_back is False, kind
+            assert not report.events, kind
+            want = justification_counts_oracle(g.sorted_edges())
+            assert counts_by_members(index) == want, kind
+            assert_matches_scratch(g, d, index)
+        assert len(g.adj_u["v1"] & g.adj_u["v2"]) == 2
 
 
 class TestFallbackValve:
