@@ -18,20 +18,20 @@ all have wing number >= k. Consequences used here:
 Both kinds share one path. The scope is found from the butterflies through
 e' while the graph holds it (the new ones on insert, the dying ones on
 delete); only the candidate filter, the start values and the floors of the
-fixpoint differ by kind. Index surgery then removes the affected classes,
-re-forms them by chained BFS (absorbing surviving classes it runs into,
-defensively widening the scope), rechecks surviving classes whose chaining
-a butterfly's min-level shift may have altered, and patches the super
-edges' justification counts with the build's own bloom kernel, over the
-left-vertex pairs that meet the scope. A structural validation pass runs
-after every update; on any violation the index is rebuilt from scratch and
-the report says so.
+fixpoint differ by kind. Index surgery then removes the affected classes
+and re-forms them with the build's own union pass over the blooms that
+meet them (a surviving class chained to them joins whole, widening the
+scope), rechecks surviving classes whose chaining a butterfly's min-level
+shift may have altered, and patches the super edges' justification counts
+with the build's own bloom kernel, over the left-vertex pairs that meet
+the scope. A structural validation pass runs after every update; on any
+violation the index is rebuilt from scratch and the report says so.
 """
 
 from collections import deque
 
 from .compress import compress
-from .equiwing import SuperNode, add_bloom, build_equiwing, rebuild_edge_counts
+from .equiwing import add_bloom, build_equiwing, form_classes, rebuild_edge_counts
 from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -252,51 +252,39 @@ def affected_edges(graph, decomp, index, kind, u, v):
     return report
 
 
+def _blooms_meeting(graph, edges):
+    """Yield (u1, u2, common) for each left-vertex pair u1 < u2 that shares
+    a neighbour x with (u1, x) in `edges`, with all their common neighbours
+    (maybe fewer than two). These blooms hold every butterfly through
+    `edges`."""
+    adj_u, adj_v = graph.adj_u, graph.adj_v
+    pairs = set()
+    for u1, x in edges:
+        for u2 in adj_v.get(x, ()):
+            if u2 != u1:
+                pairs.add((u1, u2) if u1 < u2 else (u2, u1))
+    none = frozenset()
+    for u1, u2 in pairs:
+        yield u1, u2, adj_u.get(u1, none) & adj_u.get(u2, none)
+
+
 def _reclassify(index, graph, wn, pool, removed_ids, r_total, events):
-    """Re-form classes for the pooled edges, absorbing surviving classes the
-    chained BFS reaches (their ids join removed_ids, members join r_total).
-    Each component reports its absorbed ids in ascending order, since the
-    search itself follows set order."""
-    new_ids = []
+    """Re-form classes for the pooled edges of level >= 1 with the build's
+    union pass, over the blooms that meet them. A surviving class chained
+    to them joins whole: its id joins removed_ids and its members r_total.
+    A butterfly with no pool edge holds no changed edge and is not new, so
+    it chains only edges that already sit in one surviving class; no other
+    bloom can move a class boundary."""
     pool = {f for f in pool if wn.get(f, 0) >= 1}
-    visited = set()
-    for start in sorted(pool, key=lambda f: (wn[f], f)):
-        if start in visited:
-            continue
-        level = wn[start]
-        comp = []
-        absorbed = []
-        stack = [start]
-        visited.add(start)
-        while stack:
-            y = stack.pop()
-            comp.append(y)
-            for b in graph.butterflies_of_edge(*y):
-                es = butterfly_edges(b)
-                if min(wn.get(f, 0) for f in es) < level:
-                    continue
-                for z in es:
-                    if z in visited or wn.get(z, 0) != level:
-                        continue
-                    sid = index.per_edge_node.get(z)
-                    if sid is None:
-                        visited.add(z)
-                        stack.append(z)
-                    else:
-                        node = index.remove_node(sid)
-                        removed_ids.add(sid)
-                        r_total.update(node.members)
-                        absorbed.append(sid)
-                        for m in node.members:
-                            if m not in visited:
-                                visited.add(m)
-                                stack.append(m)
-        events.extend(
-            f"absorbed surviving class {sid} at level {level}"
-            for sid in sorted(absorbed)
-        )
-        nid = index.alloc_id()
-        index.add_node(SuperNode(nid, level, comp))
+    blooms = (b for b in _blooms_meeting(graph, pool) if len(b[2]) >= 2)
+    new_ids = []
+    for nid, absorbed in form_classes(index, blooms, wn, pool):
+        for node in absorbed:
+            removed_ids.add(node.sn_id)
+            r_total.update(node.members)
+            events.append(
+                f"absorbed surviving class {node.sn_id} at level {node.level}"
+            )
         new_ids.append(nid)
     return new_ids
 
@@ -336,57 +324,48 @@ def _collect_min_shift_edges(graph, wn_old, wn_new, changed_edges, dying):
 
 
 def _recheck_class(index, graph, wn, c_id, removed_ids, r_total, events):
-    node = index.nodes.get(c_id)
-    if node is None:
+    """Re-form class c_id on its own. Found whole, it is put back under
+    its own id, but the trial re-formation has used up one id: every class
+    formed later, in this update or after it, gets an id one higher than
+    it would without the recheck (the update-session golden pins this).
+    Otherwise the re-formed classes replace it and the update reports it
+    as rechained."""
+    if c_id not in index.nodes:
         return []
-    members = set(node.members)
-    level = node.level
-    index.remove_node(c_id)
-    pre_removed = set(removed_ids)
-    sub_events = []
+    node = index.remove_node(c_id)
+    n_removed = len(removed_ids)
     new_ids = _reclassify(
-        index, graph, wn, set(members), removed_ids, r_total, sub_events
+        index, graph, wn, node.members, removed_ids, r_total, events
     )
-    if (
-        len(new_ids) == 1
-        and removed_ids == pre_removed
-        and index.nodes[new_ids[0]].members == members
-    ):
+    formed = [index.nodes[s].members for s in new_ids]
+    if len(removed_ids) == n_removed and formed == [node.members]:
         index.remove_node(new_ids[0])
-        index.add_node(SuperNode(c_id, level, members))
+        index.add_node(node)
         return []
     removed_ids.add(c_id)
-    r_total.update(members)
-    events.extend(sub_events)
-    events.append(f"rechained class {c_id} at level {level}")
+    r_total.update(node.members)
+    events.append(f"rechained class {c_id} at level {node.level}")
     return new_ids
 
 
 def _patch_counts(graph, index, report, wn, wn_old, class_old):
     """Patch the justification counts bloom by bloom. Every left-vertex pair
-    that shares a neighbour over a scope edge takes back its old bloom under
-    the old wing numbers and classes and adds its new one under the new
-    maps. A pair that meets no scope edge holds only edges whose level and
-    class did not move, so its two terms would cancel. A deleted e' = (u, v)
-    is back in the old blooms of u with each remaining neighbour of v; an
-    inserted e' is missing from the old wing numbers, so on the old side its
-    butterflies count at level 0 and contribute nothing."""
-    adj_u, adj_v = graph.adj_u, graph.adj_v
-    pairs = set()
-    for u1, x in report.affected_edges:  # e' included
-        for u2 in adj_v.get(x, ()):
-            if u2 != u1:
-                pairs.add((u1, u2) if u1 < u2 else (u2, u1))
+    that shares a neighbour over a scope edge, e' included, takes back its
+    old bloom under the old wing numbers and classes and adds its new one
+    under the new maps. A pair that meets no scope edge holds only edges
+    whose level and class did not move, so its two terms would cancel. A
+    deleted e' = (u, v) is back in the old blooms of u with each remaining
+    neighbour of v; an inserted e' is missing from the old wing numbers, so
+    on the old side its butterflies count at level 0 and contribute
+    nothing."""
+    adj_v = graph.adj_v
     u, v = report.edge
     regain = set()
     if report.kind == "delete":
         regain = {(u, w) if u < w else (w, u) for w in adj_v.get(v, ())}
-    none = frozenset()
     delta = {}
-    for pair in pairs:
-        u1, u2 = pair
-        common = adj_u.get(u1, none) & adj_u.get(u2, none)
-        old = common | {v} if pair in regain else common
+    for u1, u2, common in _blooms_meeting(graph, report.affected_edges):
+        old = common | {v} if (u1, u2) in regain else common
         if len(old) < 2:
             continue
         add_bloom(delta, u1, u2, common, wn, index.per_edge_node, 1)

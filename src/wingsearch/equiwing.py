@@ -127,9 +127,6 @@ class EquiWingIndex:
             self._adjacency = adj
         return self._adjacency
 
-    def node_of_edge(self, e):
-        return self.per_edge_node.get(e)
-
     def replace_with(self, other):
         """Adopt another index's contents in place (rebuild fallback)."""
         self.nodes = other.nodes
@@ -209,18 +206,21 @@ def find_root(parent, x):
     return root
 
 
-def build_equiwing(graph, decomp=None):
-    decomp = decomp if decomp is not None else wing_decomposition(graph)
-    wn = decomp.wing_number
-
-    # union pass: a butterfly unions its min-level edges. In a bloom, the
-    # butterfly {x, y} has minimum min(w_x, w_y), where w_x is the lower
-    # level of x's two edges, so the level-m edges of every x with w_x = m
-    # fall in one class, unless x is alone at the bloom's top level: then
-    # each of its butterflies has its minimum on the other vertex
-    parent = {e: e for e, w in wn.items() if w >= 1}
+def form_classes(index, blooms, wn, pool):
+    """Add to `index` the classes of the `pool` edges that the union pass
+    over `blooms` forms. Each class of `index` is one union-find element,
+    its id, so one chained to the pool joins whole and its members are
+    never walked. Returns (id, absorbed nodes) per new class, in id order:
+    by level, then smallest pooled edge."""
+    class_of, nodes = index.per_edge_node, index.nodes
+    parent = {e: e for e in pool}
     level = wn.get
-    for u1, u2, common in graph.blooms():
+    # a butterfly unions its min-level edges. In a bloom, the butterfly
+    # {x, y} has minimum min(w_x, w_y), where w_x is the lower level of x's
+    # two edges, so the level-m edges of every x with w_x = m fall in one
+    # class, unless x is alone at the bloom's top level: then each of its
+    # butterflies has its minimum on the other vertex
+    for u1, u2, common in blooms:
         at = {}  # w_x -> the level-w_x edges of each such x
         for x in common:
             e1, e2 = (u1, x), (u2, x)
@@ -240,20 +240,36 @@ def build_equiwing(graph, decomp=None):
             first = None
             for es in xs:
                 for e in es:
-                    root = find_root(parent, e)
+                    x = class_of.get(e, e)
+                    parent.setdefault(x, x)
+                    root = find_root(parent, x)
                     if first is None:
                         first = root
                     elif root != first:
                         parent[root] = first
 
-    groups = {}
-    for e in parent:
-        groups.setdefault(find_root(parent, e), []).append(e)
+    groups, joined = {}, {}
+    for x in parent:
+        if x in nodes:
+            joined.setdefault(find_root(parent, x), []).append(x)
+        else:
+            groups.setdefault(find_root(parent, x), []).append(x)
+    formed = []
+    for root in sorted(groups, key=lambda r: (wn[groups[r][0]], min(groups[r]))):
+        g = groups[root]
+        absorbed = [index.remove_node(s) for s in sorted(joined.get(root, ()))]
+        members = g + [e for node in absorbed for e in node.members]
+        node = SuperNode(index.alloc_id(), wn[g[0]], members)
+        index.add_node(node)
+        formed.append((node.sn_id, absorbed))
+    return formed
 
+
+def build_equiwing(graph, decomp=None):
+    decomp = decomp if decomp is not None else wing_decomposition(graph)
+    wn = decomp.wing_number
     index = EquiWingIndex()
-    ordered = sorted(groups.values(), key=lambda g: (wn[g[0]], min(g)))
-    for members in ordered:
-        index.add_node(SuperNode(index.alloc_id(), wn[members[0]], members))
+    form_classes(index, graph.blooms(), wn, [e for e, w in wn.items() if w >= 1])
     index.refresh_k_max()
 
     # count pass: super edges with justification counts

@@ -216,6 +216,26 @@ class TestUpdate:
         assert len(comp.nodes) == 4
         assert comp.compression_ratio() == pytest.approx(1.0)
 
+    def test_comp_update_compresses_once(self, capsys, monkeypatch, g_path,
+                                         ewc_path):
+        from wingsearch import cli, dynamic
+
+        calls = []
+        real = dynamic.compress
+
+        def counting(index):
+            calls.append(index)
+            return real(index)
+
+        monkeypatch.setattr(cli, "compress", counting)
+        monkeypatch.setattr(dynamic, "compress", counting)
+        code, out, _ = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(ewc_path), "--insert", "v4:u6",
+        )
+        assert code == 0 and "affected_super_nodes 3\n" in out
+        assert len(calls) == 1
+
     def test_delete_missing_edge_changes_nothing(self, capsys, g_path,
                                                  ew_path):
         before_graph = g_path.read_text()
@@ -348,11 +368,12 @@ class TestBench:
     @pytest.mark.parametrize("flag", ["--buckets", "--per-bucket"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_counts_below_one_rejected(self, capsys, fig2_path, flag, value):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "bench", "--graph", str(fig2_path), "-k", "1",
             f"{flag}={value}",
         )
         assert code == 3 and "at least one" in err
+        assert "# decompose time" not in out
 
 
 class TestExitCodes:

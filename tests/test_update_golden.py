@@ -9,6 +9,17 @@ session is chosen so that several steps absorb more than one surviving
 class. To regenerate after a deliberate change of behaviour:
 
     PYTHONPATH=src python tests/test_update_golden.py
+
+With `--digest` the script writes nothing. It runs the same kind of session
+on several more planted-block graphs (1,200 updates) and prints one line per
+step: the first 16 hex digits of the sha256 of the report lines, of the
+plain and the compressed index files, and of the sorted `edge_counts`. To
+compare the update paths of two checkouts, run
+
+    python tests/test_update_golden.py --digest > digest.txt
+
+in each and `diff` the outputs. The script imports the `src/` beside it, so
+copy it into a checkout that lacks the mode.
 """
 
 import hashlib
@@ -24,27 +35,25 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def produce():
-    """Run the session and return the golden text."""
+def session(edges, seed, steps):
+    """Alternate seeded random inserts and deletes on the graph of `edges`,
+    yielding (step, report, index, comp) after each update."""
     from wingsearch import (
         BipartiteGraph,
         apply_update_comp,
         build_equiwing,
         compress,
-        generate_bipartite,
-        serialize,
         wing_decomposition,
     )
 
     g = BipartiteGraph()
-    for u, v in generate_bipartite(30, 30, 0.08, 3, [(8, 8, 0.85), (6, 6, 0.9)]):
+    for u, v in edges:
         g.insert_edge(u, v)
     d = wing_decomposition(g)
     index = build_equiwing(g, d)
     comp = compress(index)
-    r = random.Random(3)
-    out = []
-    for i in range(1, 41):
+    r = random.Random(seed)
+    for i in range(1, steps + 1):
         if i % 2:
             us, vs = sorted(g.adj_u), sorted(g.adj_v)
             u, v = r.choice(us), r.choice(vs)
@@ -54,10 +63,43 @@ def produce():
         else:
             kind, (u, v) = "delete", r.choice(g.sorted_edges())
         report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
+        yield i, report, index, comp
+
+
+def produce():
+    """Run the session and return the golden text."""
+    from wingsearch import generate_bipartite, serialize
+
+    edges = generate_bipartite(30, 30, 0.08, 3, [(8, 8, 0.85), (6, 6, 0.9)])
+    out = []
+    for i, report, index, comp in session(edges, 3, 40):
         out += report.lines(i)
         out.append(f"index sha256 {_sha(serialize(index))}")
         out.append(f"comp sha256 {_sha(serialize(comp))}")
     return "".join(line + "\n" for line in out)
+
+
+def digest():
+    """Yield one line of hashes per step of the differential sessions:
+    twelve 30x30 graphs of 80 steps, a 60x60 graph and the 1,702-edge
+    graph of two 12x12 blocks, 120 steps each."""
+    from wingsearch import generate_bipartite, serialize
+
+    blocks = [(8, 8, 0.9), (6, 6, 0.8)]
+    graphs = [(f"30x30-{s}", (30, 30, 0.08, s, blocks), 80) for s in range(12)]
+    graphs += [
+        ("60x60", (60, 60, 0.06, 91, [(8, 8, 0.9)]), 120),
+        ("200x200", (200, 200, 0.035, 91, [(12, 12, 0.9)] * 2), 120),
+    ]
+    for name, spec, steps in graphs:
+        for i, report, index, comp in session(generate_bipartite(*spec), 7, steps):
+            texts = [
+                "\n".join(report.lines(i)),
+                serialize(index),
+                serialize(comp),
+                repr(sorted(index.edge_counts.items())),
+            ]
+            yield " ".join([name, str(i)] + [_sha(t)[:16] for t in texts])
 
 
 def test_session_matches_golden():
@@ -75,5 +117,9 @@ def test_session_absorbs_several_classes_at_once():
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
-    with open(GOLDEN, "w", encoding="utf-8", newline="") as fh:
-        fh.write(produce())
+    if sys.argv[1:] == ["--digest"]:
+        for line in digest():
+            print(line, flush=True)
+    else:
+        with open(GOLDEN, "w", encoding="utf-8", newline="") as fh:
+            fh.write(produce())
