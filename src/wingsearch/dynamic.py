@@ -10,22 +10,24 @@ all have wing number >= k. Consequences used here:
   minimum old wing number of the three existing edges. A higher value for
   any edge would certify a wing that must already have existed.
 * delete cap: only edges with old wing number <= w(e') can change.
-* exact recomputation: start every possibly-affected edge at an optimistic
-  upper value and repeatedly lower it to max(old floor, h-index of its
-  butterflies' minima); the greatest fixpoint below the start equals the true
-  new wing numbers.
+* exact recomputation: repeatedly lower values to max(floor, h-index of
+  the edge's butterflies' minima); from any start at or above the true new
+  wing numbers this reaches them, the greatest fixpoint below the start.
 
-Both kinds share one path. The scope is found from the butterflies through
-e' while the graph holds it (the new ones on insert, the dying ones on
-delete); only the candidate filter, the start values and the floors of the
-fixpoint differ by kind. Index surgery then removes the affected classes
-and re-forms them with the build's own union pass over the blooms that
-meet them (a surviving class chained to them joins whole, widening the
-scope), rechecks surviving classes whose chaining a butterfly's min-level
-shift may have altered, and patches the super edges' justification counts
-with the build's own bloom kernel, over the left-vertex pairs that meet
-the scope. A structural validation pass runs after every update; on any
-violation the index is rebuilt from scratch and the report says so.
+Both kinds share one path and one order: take the butterflies through e'
+(those it closes, or the dying ones), apply e', then find the scope on the
+graph it leaves. An insert starts the edges below its bound that butterflies
+chain to e' at optimistic values, their old ones as floors. A delete starts
+at the old values, which hold but on the dying butterflies: it seeds their
+edges and takes in another edge only when a butterfly neighbour drops.
+Index surgery then removes the affected classes and re-forms them with the
+build's own union pass over the blooms that meet them (a surviving class
+chained to them joins whole, widening the scope), rechecks surviving
+classes whose chaining a butterfly's min-level shift may have altered, and
+patches the super edges' justification counts with the build's own bloom
+kernel, over the left-vertex pairs that meet the scope. A structural
+validation pass runs after every update; on any violation the index is
+rebuilt from scratch and the report says so.
 """
 
 from collections import deque
@@ -53,7 +55,7 @@ def _h_index(values):
 def compute_delta(graph, u, v):
     """Largest number of new butterflies any single existing edge would gain
     from inserting (u, v)."""
-    return _insert_bound(graph, {}, u, v)[1]
+    return _start(graph, {}, "insert", u, v)[0].delta
 
 
 def k_level_butterfly_count(graph, decomp, u, v, k):
@@ -72,27 +74,22 @@ def k_level_butterfly_count(graph, decomp, u, v, k):
     return n
 
 
-def _insert_bound(graph, wn, u, v):
-    """(bound, delta) for inserting (u, v), from the partner pairs (u2, v2)
-    that would close a new butterfly on {u, u2} x {v, v2}."""
-    if graph.has_edge(u, v):
-        raise InvalidArgumentError(f"edge ({u}, {v}) already present")
+def _insert_bound(wn, e, through):
+    """(bound, delta) for inserting e, from the butterflies it closes."""
     counts = {}
     mins = []
-    for v2 in graph.adj_u.get(u, ()):
-        for u2 in graph.adj_v.get(v, ()):
-            if v2 in graph.adj_u[u2]:
-                others = ((u, v2), (u2, v), (u2, v2))
-                mins.append(min(wn.get(f, 0) for f in others))
-                for f in others:
-                    counts[f] = counts.get(f, 0) + 1
+    for b in through:
+        others = [f for f in butterfly_edges(b) if f != e]
+        mins.append(min(wn.get(f, 0) for f in others))
+        for f in others:
+            counts[f] = counts.get(f, 0) + 1
     delta = max(counts.values(), default=0)
     return _h_index(mins) + delta, delta
 
 
 def wing_upper_bound(graph, decomp, u, v):
     """Sound upper bound on every wing number after inserting (u, v)."""
-    return _insert_bound(graph, decomp.wing_number, u, v)[0]
+    return _start(graph, decomp.wing_number, "insert", u, v)[0].upper_bound
 
 
 class UpdateReport:
@@ -133,10 +130,11 @@ class UpdateReport:
         return out
 
 
-def _fixpoint(graph, wn, up, floors, skip_edge=None):
+def _fixpoint(graph, wn, up, floors, cap):
     """Lower `up` values to the greatest fixpoint of the locality operator,
-    never dropping below `floors`. Butterflies containing skip_edge are
-    ignored (delete evaluation before physical removal)."""
+    never dropping below `floors`. Edges outside `up` count at their old
+    value w; when a value drops, each butterfly neighbour outside `up` with
+    1 <= w <= cap joins it at w (cap 0 admits none)."""
     work = deque(sorted(up))
     inwork = set(work)
 
@@ -146,17 +144,17 @@ def _fixpoint(graph, wn, up, floors, skip_edge=None):
     while work:
         f = work.popleft()
         inwork.discard(f)
-        mins = []
-        for b in graph.butterflies_of_edge(*f):
-            es = butterfly_edges(b)
-            if skip_edge is not None and skip_edge in es:
-                continue
-            mins.append(min(cur(g) for g in es if g != f))
+        mins = [
+            min(cur(g) for g in butterfly_edges(b) if g != f)
+            for b in graph.butterflies_of_edge(*f)
+        ]
         val = max(_h_index(mins), floors.get(f, 0))
         if val < up[f]:
             up[f] = val
             for b in graph.butterflies_of_edge(*f):
                 for g in butterfly_edges(b):
+                    if g not in up and 1 <= wn.get(g, 0) <= cap:
+                        up[g] = wn[g]
                     if g in up and g not in inwork and g != f:
                         inwork.add(g)
                         work.append(g)
@@ -181,25 +179,29 @@ def _closure(graph, start, keep):
     return out
 
 
-def _start_report(graph, wn, kind, u, v):
-    """Check the request and open its report, bound and delta filled in."""
+def _start(graph, wn, kind, u, v):
+    """Check the request and open its report, bound and delta filled in.
+    Returns it with the butterflies the update creates or destroys, taken
+    before the edge is applied."""
+    e = (u, v)
     if kind == "insert":
-        bound, delta = _insert_bound(graph, wn, u, v)
-        return UpdateReport(kind, (u, v), bound, delta)
-    if kind == "delete":
-        if not graph.has_edge(u, v):
-            raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
-        return UpdateReport(kind, (u, v), wn.get((u, v), 0), None)
-    raise InvalidArgumentError(f"unknown update kind {kind!r}")
+        if graph.has_edge(u, v):
+            raise InvalidArgumentError(f"edge ({u}, {v}) already present")
+    elif kind != "delete":
+        raise InvalidArgumentError(f"unknown update kind {kind!r}")
+    elif not graph.has_edge(u, v):
+        raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
+    through = list(graph.butterflies_of_edge(u, v))
+    if kind == "insert":
+        return UpdateReport(kind, e, *_insert_bound(wn, e, through)), through
+    return UpdateReport(kind, e, wn.get(e, 0), None), through
 
 
-def _scope(graph, wn, index, report):
-    """Fill in the report's scope for its edge e, which `graph` must hold.
-    Returns the butterflies through e: the ones an insert creates or a
-    delete destroys."""
+def _scope(graph, wn, index, report, through):
+    """Fill in the report's scope on `graph`, which the update has already
+    changed; `through` holds the butterflies it created or destroyed."""
     e = report.edge
     p = report.upper_bound
-    through = list(graph.butterflies_of_edge(*e))
 
     def level(f):  # e counts at the bound on insert, at w(e) on delete
         return p if f == e else wn.get(f, 0)
@@ -213,17 +215,16 @@ def _scope(graph, wn, index, report):
             if x != e and 1 <= level(x) <= min(level(f) for f in es if f != x):
                 seeds.add(index.per_edge_node.get(x))
 
-    if report.kind == "insert":
+    if report.kind == "insert":  # the closure holds all a drop can reach
         cand = _closure(graph, e, lambda y: wn.get(y, 0) < p)
-        cand.discard(e)
         up = {y: min(p, graph.support(*y)) for y in cand}
         up[e] = min(p, len(through))
-        _fixpoint(graph, wn, up, {y: wn.get(y, 0) for y in up})
+        _fixpoint(graph, wn, up, {y: wn.get(y, 0) for y in up}, 0)
     else:
-        cand = _closure(graph, e, lambda y: 1 <= wn.get(y, 0) <= p)
-        cand.discard(e)
-        up = {y: wn[y] for y in cand}
-        _fixpoint(graph, wn, up, {}, skip_edge=e)
+        # the old values hold everywhere but on the dying butterflies
+        up = {y: wn[y] for b in through for y in butterfly_edges(b)
+              if y != e and 1 <= wn.get(y, 0) <= p}
+        _fixpoint(graph, wn, up, {}, p)
 
     changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
     seeds.update(index.per_edge_node.get(f) for f in changed)
@@ -238,17 +239,16 @@ def _scope(graph, wn, index, report):
         new = up.get(f, 0 if f == e else old)  # a deleted e drops to 0
         if old != new:
             report.changed[f] = (old, new)
-    return through
 
 
 def affected_edges(graph, decomp, index, kind, u, v):
     """The update's report before any surgery: bound, delta, the scope and
-    `changed`. Mutates nothing; an insert is evaluated on a copy."""
-    report = _start_report(graph, decomp.wing_number, kind, u, v)
-    if kind == "insert":
-        graph = graph.copy()
-        graph.insert_edge(u, v)
-    _scope(graph, decomp.wing_number, index, report)
+    `changed`. Mutates nothing: the update is evaluated on a copy of the
+    graph with the edge applied."""
+    report, through = _start(graph, decomp.wing_number, kind, u, v)
+    graph = graph.copy()
+    (graph.insert_edge if kind == "insert" else graph.delete_edge)(u, v)
+    _scope(graph, decomp.wing_number, index, report, through)
     return report
 
 
@@ -289,20 +289,21 @@ def _reclassify(index, graph, wn, pool, removed_ids, r_total, events):
     return new_ids
 
 
-def _collect_min_shift_edges(graph, wn_old, wn_new, changed_edges, dying):
+def _collect_min_shift_edges(graph, wn_old, wn_new, changed_edges):
     """Unchanged edges sitting at the old/new min level of butterflies whose
-    min level moved: their surviving classes need a chaining recheck."""
+    min level moved: their surviving classes need a chaining recheck. A
+    deleted edge is changed; its butterflies are the dying ones."""
     drop_side = set()
     rise_side = set()
     seen = set()
 
-    def handle(b, died=False):
+    def handle(b):
         if b in seen:
             return
         seen.add(b)
         es = butterfly_edges(b)
         mo = min(wn_old.get(f, 0) for f in es)
-        mn = 0 if died else min(wn_new.get(f, 0) for f in es)
+        mn = min(wn_new.get(f, 0) for f in es)
         if mo == mn:
             return
         if mn < mo:
@@ -315,11 +316,8 @@ def _collect_min_shift_edges(graph, wn_old, wn_new, changed_edges, dying):
                     rise_side.add(f)
 
     for x in changed_edges:
-        if graph.has_edge(*x):
-            for b in graph.butterflies_of_edge(*x):
-                handle(b)
-    for b in dying:
-        handle(b, died=True)
+        for b in graph.butterflies_of_edge(*x):
+            handle(b)
     return drop_side, rise_side
 
 
@@ -391,7 +389,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     index in place. Returns the UpdateReport that `affected_edges` would
     give, widened by the surgery."""
     wn = decomp.wing_number
-    report = _start_report(graph, wn, kind, u, v)
+    report, through = _start(graph, wn, kind, u, v)
     e = report.edge
     insert = kind == "insert"
     if index.edge_counts is None:
@@ -399,20 +397,18 @@ def apply_update(graph, decomp, index, kind, u, v):
     wn_old = dict(wn)
     class_old = dict(index.per_edge_node)
 
-    if insert:
-        graph.insert_edge(u, v)
-    through = _scope(graph, wn, index, report)
     sign = 1 if insert else -1
     for b in through:
         for f in butterfly_edges(b):
             if f != e:
                 decomp.support[f] += sign
     if insert:
+        graph.insert_edge(u, v)
         decomp.support[e] = len(through)
     else:
-        decomp.support.pop(e, None)
         graph.delete_edge(u, v)
-    dying = [] if insert else through
+        decomp.support.pop(e, None)
+    _scope(graph, wn, index, report, through)
 
     for f, (_old, new) in report.changed.items():
         wn[f] = new
@@ -432,7 +428,7 @@ def apply_update(graph, decomp, index, kind, u, v):
 
     # recheck surviving classes whose chaining may have shifted
     drop_side, rise_side = _collect_min_shift_edges(
-        graph, wn_old, wn, report.changed, dying
+        graph, wn_old, wn, report.changed
     )
     recheck = {class_old.get(f) for f in drop_side}
     recheck.update(index.per_edge_node.get(f) for f in rise_side)

@@ -11,6 +11,7 @@ at least two common neighbours.
 """
 
 import os
+import stat
 import tempfile
 
 from .errors import GraphFormatError, UnknownEdgeError
@@ -93,9 +94,10 @@ class BipartiteGraph:
         return count
 
     def butterflies_of_edge(self, u, v):
-        """Yield canonical butterflies containing (u,v)."""
-        vs = self.adj_u[u]
-        for u2 in self.adj_v[v]:
+        """Yield canonical butterflies containing (u,v). For an absent edge,
+        yield those that inserting it would close."""
+        vs = self.adj_u.get(u, frozenset())
+        for u2 in self.adj_v.get(v, ()):
             if u2 == u:
                 continue
             for v2 in vs & self.adj_u[u2]:
@@ -195,10 +197,18 @@ def load_edge_list(path):
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file + rename, so readers never see a
-    torn file."""
+    torn file. A replaced file keeps its mode; a new one gets 0o666 less
+    the umask, as open() would give it."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -193,6 +195,17 @@ class TestUpdate:
         index = deserialize(ew_path.read_text())
         assert len(index.nodes) == 4
         assert sorted(n.level for n in index.nodes.values()) == [1, 2, 3, 4]
+
+    def test_rewritten_files_keep_their_modes(self, capsys, g_path, ew_path):
+        os.chmod(g_path, 0o664)
+        os.chmod(ew_path, 0o644)
+        code, _, _ = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(ew_path), "--insert", "v4:u6",
+        )
+        assert code == 0
+        assert stat.S_IMODE(os.stat(g_path).st_mode) == 0o664
+        assert stat.S_IMODE(os.stat(ew_path).st_mode) == 0o644
 
     def test_mutations_apply_in_flag_order(self, capsys, g_path, ew_path):
         code, out, _ = run(

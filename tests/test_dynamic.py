@@ -24,6 +24,7 @@ from wingsearch import (
     wing_upper_bound,
 )
 from wingsearch.errors import InvalidArgumentError, UnknownEdgeError
+from wingsearch.graph import butterfly_edges
 
 from conftest import FIG2_CLASSES, random_bipartite_edges
 from oracles import justification_counts_oracle
@@ -262,6 +263,43 @@ class TestApplyDelete:
         g, d, index = fig2_state(fig2_graph)
         with pytest.raises(UnknownEdgeError):
             apply_update(g, d, index, "delete", "v4", "u6")
+
+    @pytest.mark.parametrize("square", [0, 100])
+    def test_work_is_bounded_by_what_changes(self, square):
+        """A chain of 200 butterflies, square i on {a_i, a_i+1} x {b_i, b_i+1},
+        is one level-1 block: every edge is butterfly-connected to every
+        other at level 1 = w(e). Deleting e = (a_i, b_i+1) kills square i and
+        moves at most three wing numbers, so the delete may look at the
+        dying butterfly's edges and the changed ones, not the block."""
+
+        class CountingGraph(BipartiteGraph):
+            calls = 0
+
+            def butterflies_of_edge(self, u, v):
+                self.calls += 1
+                return super().butterflies_of_edge(u, v)
+
+        n = 200
+        g = CountingGraph()
+        for i in range(n):
+            a, a1, b, b1 = f"a{i:03}", f"a{i + 1:03}", f"b{i:03}", f"b{i + 1:03}"
+            for u, v in ((a, b), (a, b1), (a1, b), (a1, b1)):
+                g.insert_edge(u, v)
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        assert set(d.wing_number.values()) == {1} and len(index.nodes) == 1
+        e = (f"a{square:03}", f"b{square + 1:03}")
+        (dying,) = g.butterflies_of_edge(*e)
+        g.calls = 0
+        report = apply_update(g, d, index, "delete", *e)
+        # one call takes the dying butterflies; the fixpoint evaluates each
+        # of their edges and the changed ones, and enumerates them again on
+        # a drop; the recheck scan makes one call per changed edge
+        touched = set(butterfly_edges(dying)) | set(report.changed)
+        bound = 1 + 2 * len(touched) + len(report.changed)
+        assert len(report.changed) <= 3 and g.num_edges > 20 * bound
+        assert g.calls <= bound
+        assert_matches_scratch(g, d, index)
 
 
 class TestDeterministicEvents:

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import pytest
 
@@ -140,6 +141,23 @@ class TestButterflies:
                 }
             assert unfolded == set(oracles.enumerate_butterflies(edges))
 
+    def test_absent_edge_yields_the_butterflies_it_would_close(self, rng):
+        """a7, a8, b7 and b8 are new vertices: 9 x 9 pairs over a 7 x 7
+        graph include edges with one or both endpoints new."""
+        for _ in range(10):
+            edges = random_bipartite_edges(rng, 7, 7, 0.45)
+            g = BipartiteGraph()
+            for u, v in edges:
+                g.insert_edge(u, v)
+            for u in (f"a{i}" for i in range(9)):
+                for v in (f"b{j}" for j in range(9)):
+                    if g.has_edge(u, v):
+                        continue
+                    got = list(g.butterflies_of_edge(u, v))
+                    want = oracles.butterflies_through((u, v), edges + [(u, v)])
+                    assert sorted(got) == sorted(want), (u, v)
+            assert g.sorted_edges() == sorted(edges)
+
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     p = tmp_path / "out.txt"
@@ -148,3 +166,30 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     assert p.read_text() == "new contents\n"
     leftovers = [f for f in os.listdir(tmp_path) if f != "out.txt"]
     assert leftovers == []
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_atomic_write_new_file_follows_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "new.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert _mode(tmp_path / "new.txt") == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o664, 0o640], ids=oct)
+def test_atomic_write_keeps_the_mode_of_a_replaced_file(tmp_path, mode):
+    p = tmp_path / "out.txt"
+    p.write_text("old")
+    os.chmod(p, mode)
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(p, "new\n")
+    finally:
+        os.umask(old)
+    assert p.read_text() == "new\n" and _mode(p) == mode

@@ -13,7 +13,8 @@ class. To regenerate after a deliberate change of behaviour:
 With `--digest` the script writes nothing. It runs the same kind of session
 on several more planted-block graphs (1,200 updates) and prints one line per
 step: the first 16 hex digits of the sha256 of the report lines, of the
-plain and the compressed index files, and of the sorted `edge_counts`. To
+sorted `changed` map, of the plain and the compressed index files, and of
+the sorted `edge_counts`. To
 compare the update paths of two checkouts, run
 
     python tests/test_update_golden.py --digest > digest.txt
@@ -95,6 +96,7 @@ def digest():
         for i, report, index, comp in session(generate_bipartite(*spec), 7, steps):
             texts = [
                 "\n".join(report.lines(i)),
+                repr(sorted(report.changed.items())),
                 serialize(index),
                 serialize(comp),
                 repr(sorted(index.edge_counts.items())),
