@@ -36,7 +36,13 @@ from .errors import (
     UnknownVertexError,
 )
 from .generate import generate_bipartite
-from .graph import BipartiteGraph, atomic_write_text, load_edge_list, save_edge_list
+from .graph import (
+    COMMENT_PREFIXES,
+    BipartiteGraph,
+    atomic_write_text,
+    load_edge_list,
+    save_edge_list,
+)
 from .bench import run_bench
 
 
@@ -66,6 +72,22 @@ def _parse_edge(value):
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise InvalidArgumentError(
             f"mutations take the form u:v, got {value!r}"
+        )
+    # the edge is written as a line `u<TAB>v` of the graph file
+    for label in parts:
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidArgumentError(
+                f"vertex label {label!r} is not valid UTF-8"
+            ) from None
+        if any(ch.isspace() for ch in label):
+            raise InvalidArgumentError(
+                f"vertex label {label!r} holds whitespace"
+            )
+    if parts[0].startswith(COMMENT_PREFIXES):
+        raise InvalidArgumentError(
+            f"vertex label {parts[0]!r} would start a comment line"
         )
     return parts[0], parts[1]
 

@@ -20,14 +20,18 @@ graph it leaves. An insert starts the edges below its bound that butterflies
 chain to e' at optimistic values, their old ones as floors. A delete starts
 at the old values, which hold but on the dying butterflies: it seeds their
 edges and takes in another edge only when a butterfly neighbour drops.
-Index surgery then removes the affected classes and re-forms them with the
-build's own union pass over the blooms that meet them (a surviving class
-chained to them joins whole, widening the scope), rechecks surviving
-classes whose chaining a butterfly's min-level shift may have altered, and
-patches the super edges' justification counts with the build's own bloom
-kernel, over the left-vertex pairs that meet the scope. A structural
-validation pass runs after every update; on any violation the index is
-rebuilt from scratch and the report says so.
+The scope's classes are those of e' and of the changed edges, the classes a
+created or dying butterfly chains, and on a delete the classes at the old
+minimum of each butterfly whose minimum drops: only there can a delete
+split a class, and it never joins two. Index surgery removes them and
+re-forms their edges in one run of the build's own union pass over the
+blooms that meet them. A surviving class chained to them joins whole, and
+surviving classes chained to each other through a changed edge merge: an
+insert joins classes only there and never splits one. Either way the
+scope widens. The super edges' justification counts are then patched with
+the build's own bloom kernel, over the left-vertex pairs that meet the
+scope. A structural validation pass runs after every update; on any
+violation the index is rebuilt from scratch and the report says so.
 """
 
 from collections import deque
@@ -96,7 +100,7 @@ class UpdateReport:
     """What one edge update moves. `affected_edges` returns it before any
     surgery, holding the scope: the edges and classes that may be re-formed
     and `changed`, edge -> (old, new) wing number. `apply_update` widens
-    the same report with the classes its surgery absorbs or rechains.
+    the same report with the surviving classes its surgery absorbs.
     `upper_bound` is the insert bound, or the deleted edge's wing number."""
 
     def __init__(self, kind, edge, upper_bound, delta):
@@ -228,6 +232,19 @@ def _scope(graph, wn, index, report, through):
 
     changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
     seeds.update(index.per_edge_node.get(f) for f in changed)
+    if report.kind == "delete":
+        # a butterfly whose minimum drops may split the class of each edge
+        # at its old minimum (the dying ones are seeded above); an insert
+        # lowers nothing
+        for f in changed:
+            for b in graph.butterflies_of_edge(*f):
+                es = butterfly_edges(b)
+                low = min(wn.get(x, 0) for x in es)
+                if min(up.get(x, wn.get(x, 0)) for x in es) < low:
+                    seeds.update(
+                        index.per_edge_node.get(x)
+                        for x in es if wn.get(x, 0) == low
+                    )
     seeds.discard(None)
     affected = changed | {e}
     for sid in seeds:
@@ -268,82 +285,26 @@ def _blooms_meeting(graph, edges):
         yield u1, u2, adj_u.get(u1, none) & adj_u.get(u2, none)
 
 
-def _reclassify(index, graph, wn, pool, removed_ids, r_total, events):
-    """Re-form classes for the pooled edges of level >= 1 with the build's
-    union pass, over the blooms that meet them. A surviving class chained
-    to them joins whole: its id joins removed_ids and its members r_total.
-    A butterfly with no pool edge holds no changed edge and is not new, so
-    it chains only edges that already sit in one surviving class; no other
-    bloom can move a class boundary."""
-    pool = {f for f in pool if wn.get(f, 0) >= 1}
+def _reclassify(index, graph, wn, report):
+    """Remove the scope's classes and re-form its edges of level >= 1 with
+    the build's union pass, over the blooms that meet them. A surviving
+    class chained to them, or chained to another through a changed edge,
+    joins whole: the report takes in its id and members. A butterfly with
+    no scope edge holds no changed edge and is not new, so it chains only
+    edges that already sit in one surviving class; no other bloom can move
+    a class boundary."""
+    for sid in report.affected_nodes:
+        index.remove_node(sid)
+    pool = {f for f in report.affected_edges if wn.get(f, 0) >= 1}
     blooms = (b for b in _blooms_meeting(graph, pool) if len(b[2]) >= 2)
-    new_ids = []
     for nid, absorbed in form_classes(index, blooms, wn, pool):
         for node in absorbed:
-            removed_ids.add(node.sn_id)
-            r_total.update(node.members)
-            events.append(
+            report.affected_nodes.add(node.sn_id)
+            report.affected_edges.update(node.members)
+            report.events.append(
                 f"absorbed surviving class {node.sn_id} at level {node.level}"
             )
-        new_ids.append(nid)
-    return new_ids
-
-
-def _collect_min_shift_edges(graph, wn_old, wn_new, changed_edges):
-    """Unchanged edges sitting at the old/new min level of butterflies whose
-    min level moved: their surviving classes need a chaining recheck. A
-    deleted edge is changed; its butterflies are the dying ones."""
-    drop_side = set()
-    rise_side = set()
-    seen = set()
-
-    def handle(b):
-        if b in seen:
-            return
-        seen.add(b)
-        es = butterfly_edges(b)
-        mo = min(wn_old.get(f, 0) for f in es)
-        mn = min(wn_new.get(f, 0) for f in es)
-        if mo == mn:
-            return
-        if mn < mo:
-            for f in es:
-                if wn_old.get(f, 0) == mo and wn_new.get(f, 0) == mo:
-                    drop_side.add(f)
-        else:
-            for f in es:
-                if wn_new.get(f, 0) == mn and wn_old.get(f, 0) == mn:
-                    rise_side.add(f)
-
-    for x in changed_edges:
-        for b in graph.butterflies_of_edge(*x):
-            handle(b)
-    return drop_side, rise_side
-
-
-def _recheck_class(index, graph, wn, c_id, removed_ids, r_total, events):
-    """Re-form class c_id on its own. Found whole, it is put back under
-    its own id, but the trial re-formation has used up one id: every class
-    formed later, in this update or after it, gets an id one higher than
-    it would without the recheck (the update-session golden pins this).
-    Otherwise the re-formed classes replace it and the update reports it
-    as rechained."""
-    if c_id not in index.nodes:
-        return []
-    node = index.remove_node(c_id)
-    n_removed = len(removed_ids)
-    new_ids = _reclassify(
-        index, graph, wn, node.members, removed_ids, r_total, events
-    )
-    formed = [index.nodes[s].members for s in new_ids]
-    if len(removed_ids) == n_removed and formed == [node.members]:
-        index.remove_node(new_ids[0])
-        index.add_node(node)
-        return []
-    removed_ids.add(c_id)
-    r_total.update(node.members)
-    events.append(f"rechained class {c_id} at level {node.level}")
-    return new_ids
+        report.new_node_ids.append(nid)
 
 
 def _patch_counts(graph, index, report, wn, wn_old, class_old):
@@ -417,27 +378,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     else:
         wn.pop(e, None)
 
-    # partition surgery; absorbed classes widen the report's scope in place
-    removed_ids = report.affected_nodes
-    r_total = report.affected_edges
-    events = report.events
-    for sid in removed_ids:
-        index.remove_node(sid)
-    pool = {f for f in r_total if f != e or insert}
-    new_ids = _reclassify(index, graph, wn, pool, removed_ids, r_total, events)
-
-    # recheck surviving classes whose chaining may have shifted
-    drop_side, rise_side = _collect_min_shift_edges(
-        graph, wn_old, wn, report.changed
-    )
-    recheck = {class_old.get(f) for f in drop_side}
-    recheck.update(index.per_edge_node.get(f) for f in rise_side)
-    for sid in sorted(recheck & index.nodes.keys() - set(new_ids)):
-        new_ids += _recheck_class(
-            index, graph, wn, sid, removed_ids, r_total, events
-        )
-    report.new_node_ids = new_ids
-
+    _reclassify(index, graph, wn, report)
     _patch_counts(graph, index, report, wn, wn_old, class_old)
     index.refresh_k_max()
 
@@ -448,7 +389,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     if classed != expected:
         problems.append("classed edges disagree with wing numbers")
     if problems:
-        events.extend(problems)
+        report.events.extend(problems)
         rebuilt = build_equiwing(graph, decomp)
         bad = rebuilt.validate()
         if bad:

@@ -103,8 +103,9 @@ class EquiWingIndex:
 
     def remove_node(self, sn_id):
         """Detach a super node. Super edges touching it are left in place on
-        purpose: update surgery subtracts their justification counts edge by
-        edge, and a restore-after-recheck must not lose them."""
+        purpose: update surgery takes back their justification counts bloom
+        by bloom afterwards, under the old classes, and drops each one whose
+        count reaches zero."""
         node = self.nodes.pop(sn_id)
         for e in node.members:
             if self.per_edge_node.get(e) == sn_id:
@@ -207,11 +208,13 @@ def find_root(parent, x):
 
 
 def form_classes(index, blooms, wn, pool):
-    """Add to `index` the classes of the `pool` edges that the union pass
-    over `blooms` forms. Each class of `index` is one union-find element,
+    """Add to `index` the classes that the union pass over `blooms` forms
+    from the `pool` edges. Each class of `index` is one union-find element,
     its id, so one chained to the pool joins whole and its members are
-    never walked. Returns (id, absorbed nodes) per new class, in id order:
-    by level, then smallest pooled edge."""
+    never walked; surviving classes the pass chains to each other, with no
+    pool edge, merge into one new class. Returns (id, absorbed nodes) per
+    new class, in id order: by level, then smallest pooled edge, or for a
+    merge of surviving classes alone their smallest member."""
     class_of, nodes = index.per_edge_node, index.nodes
     parent = {e: e for e in pool}
     level = wn.get
@@ -254,12 +257,19 @@ def form_classes(index, blooms, wn, pool):
             joined.setdefault(find_root(parent, x), []).append(x)
         else:
             groups.setdefault(find_root(parent, x), []).append(x)
+
+    keys = {root: (wn[g[0]], min(g)) for root, g in groups.items()}
+    for root, ids in joined.items():
+        if root not in keys and len(ids) >= 2:
+            members = (nodes[s].members for s in ids)
+            keys[root] = nodes[ids[0]].level, min(min(m) for m in members)
     formed = []
-    for root in sorted(groups, key=lambda r: (wn[groups[r][0]], min(groups[r]))):
-        g = groups[root]
+    for root in sorted(keys, key=keys.get):
         absorbed = [index.remove_node(s) for s in sorted(joined.get(root, ()))]
-        members = g + [e for node in absorbed for e in node.members]
-        node = SuperNode(index.alloc_id(), wn[g[0]], members)
+        members = groups.get(root, []) + [
+            e for node in absorbed for e in node.members
+        ]
+        node = SuperNode(index.alloc_id(), keys[root][0], members)
         index.add_node(node)
         formed.append((node.sn_id, absorbed))
     return formed

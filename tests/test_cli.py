@@ -310,6 +310,21 @@ class TestUpdate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "edge",
+        ["#x:u1", "%x:u1", "a b:u1", "v1:u\t1", os.fsdecode(b"\xff:u1")],
+        ids=["comment", "percent", "space", "tab", "not-utf8"],
+    )
+    def test_label_the_graph_file_cannot_hold(self, capsys, g_path, ew_path,
+                                             edge):
+        before = g_path.read_bytes(), ew_path.read_bytes()
+        code, _, err = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(ew_path), "--insert", edge,
+        )
+        assert code == 3 and "vertex label" in err
+        assert (g_path.read_bytes(), ew_path.read_bytes()) == before
+
 
 class TestGen:
     def test_deterministic(self, capsys, tmp_path):

@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from wingsearch import dynamic
 from wingsearch import (
     BipartiteGraph,
     affected_edges,
@@ -294,7 +293,7 @@ class TestApplyDelete:
         report = apply_update(g, d, index, "delete", *e)
         # one call takes the dying butterflies; the fixpoint evaluates each
         # of their edges and the changed ones, and enumerates them again on
-        # a drop; the recheck scan makes one call per changed edge
+        # a drop; the scan for dropped minima makes one call per changed edge
         touched = set(butterfly_edges(dying)) | set(report.changed)
         bound = 1 + 2 * len(touched) + len(report.changed)
         assert len(report.changed) <= 3 and g.num_edges > 20 * bound
@@ -333,40 +332,99 @@ class TestDeterministicEvents:
         assert out.count("event absorbed surviving class") == 2
 
 
-class TestRecheck:
-    """A surviving class whose chaining a butterfly's min-level shift may
-    have altered is re-formed on its own; found whole, it must come back
-    under its own id with the same members and level."""
+class TestShiftedMinimum:
+    """A butterfly whose minimum moves may chain or split the class of an
+    unchanged edge at that minimum. An insert never splits a surviving
+    class, so one that the move leaves alone keeps its id; a delete seeds
+    the classes at each dropped minimum into its scope before surgery."""
 
-    @pytest.mark.parametrize(
-        "kind,u,v,rechecked",
-        [("insert", "a12", "b1", [10]), ("delete", "a14", "b4", [11])],
-        ids=["insert", "delete"],
-    )
-    def test_class_found_whole_keeps_its_id(self, monkeypatch, kind, u, v,
-                                            rechecked):
+    def state(self):
         g = build(generate_bipartite(16, 16, 0.15, 4, [(6, 6, 0.9)]))
         d = wing_decomposition(g)
-        index = build_equiwing(g, d)
-        before = {s: (n.level, n.members) for s, n in index.nodes.items()}
-        calls = []
-        real = dynamic._recheck_class
+        return g, d, build_equiwing(g, d)
 
-        def spy(index, graph, wn, c_id, *rest):
-            out = real(index, graph, wn, c_id, *rest)
-            calls.append((c_id, out))
-            return out
-
-        monkeypatch.setattr(dynamic, "_recheck_class", spy)
-        report = apply_update(g, d, index, kind, u, v)
-        assert [c_id for c_id, _out in calls] == rechecked
-        for c_id, out in calls:
-            assert out == []
-            node = index.nodes[c_id]
-            assert (node.level, node.members) == before[c_id]
-            assert c_id not in report.affected_nodes
-        assert not any("rechained" in ev for ev in report.events)
+    def test_insert_leaves_the_class_untouched(self):
+        g, d, index = self.state()
+        before = index.nodes[10]
+        report = apply_update(g, d, index, "insert", "a12", "b1")
+        assert 10 not in report.affected_nodes
+        assert index.nodes[10] is before
         assert_matches_scratch(g, d, index)
+
+    def test_delete_seeds_the_class_and_reforms_it_whole(self):
+        g, d, index = self.state()
+        before = index.nodes[11]
+        scope = affected_edges(g, d, index, "delete", "a14", "b4")
+        assert 11 in scope.affected_nodes
+        assert before.members <= scope.affected_edges
+        report = apply_update(g, d, index, "delete", "a14", "b4")
+        assert 11 in report.affected_nodes and 11 not in index.nodes
+        (again,) = [
+            index.nodes[s] for s in report.new_node_ids
+            if index.nodes[s].members == before.members
+        ]
+        assert again.level == before.level
+        assert_matches_scratch(g, d, index)
+
+
+class TestChainedAtAMovedMinimum:
+    """Four complete blocks and one edge: B1 = {p0,p1,p2} x {q0,q1,q2},
+    B2 = {r0,r1,r2} x {s0,s1,s2}, B3 = {r0,t0,t1} x {q0,o0,o1}, the edge
+    (p0, s0), and D = {d0..d4} x {s0,ve,w0}. Inserting (p0, ve) lifts
+    (p0, s0) from level 1 to 5, so the butterfly {p0,r0} x {q0,s0} chains
+    the three level-4 classes of B1, B2 and B3 through its one changed
+    edge; deleting (p0, ve) splits that class again."""
+
+    @staticmethod
+    def edges():
+        def block(us, vs):
+            return [(u, v) for u in us.split() for v in vs.split()]
+
+        return (
+            block("p0 p1 p2", "q0 q1 q2")
+            + block("r0 r1 r2", "s0 s1 s2")
+            + block("r0 t0 t1", "q0 o0 o1")
+            + [("p0", "s0")]
+            + block("d0 d1 d2 d3 d4", "s0 ve w0")
+        )
+
+    def apply(self, g, d, index, kind):
+        report, comp = apply_update_comp(
+            g, d, index, compress(index), kind, "p0", "ve"
+        )
+        assert report.fell_back is False
+        assert_matches_scratch(g, d, index)
+        assert serialize(comp) == serialize(compress(index))
+        return report
+
+    def test_insert_merges_three_surviving_classes(self):
+        g = build(self.edges())
+        assert g.num_edges == 43
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        level4 = [n.members for n in index.nodes.values() if n.level == 4]
+        assert len(level4) == 3
+        report = self.apply(g, d, index, "insert")
+        assert d.wing_number[("p0", "s0")] == 5
+        assert report.events == [
+            f"absorbed surviving class {s} at level 4" for s in (2, 3, 4)
+        ]
+        (merged,) = [n for n in index.nodes.values() if n.level == 4]
+        assert merged.members == frozenset().union(*level4)
+
+    def test_delete_splits_the_class_it_seeds(self):
+        g = build(self.edges() + [("p0", "ve")])
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        (chained,) = [n for n in index.nodes.values() if n.level == 4]
+        assert len(chained.members) == 27
+        scope = affected_edges(g, d, index, "delete", "p0", "ve")
+        assert chained.sn_id in scope.affected_nodes
+        assert len(scope.affected_nodes) == 2
+        assert len(scope.affected_edges) == 29
+        self.apply(g, d, index, "delete")
+        assert d.wing_number[("p0", "s0")] == 1
+        assert sum(n.level == 4 for n in index.nodes.values()) == 3
 
 
 class TestCountPatch:
@@ -566,4 +624,4 @@ class TestMidScale:
             report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
             assert report.fell_back is False, step
             assert_matches_scratch(g, d, index)
-            assert levelled_members(comp) == levelled_members(compress(index))
+            assert serialize(comp) == serialize(compress(index))

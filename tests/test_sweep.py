@@ -10,7 +10,7 @@ decomposition, build and `compress`, and no update may fall back to a
 rebuild. Most maintenance bugs show up on some such small input.
 
 Run as a script for the wider sweep, which prints the number of updates,
-differences, fallbacks and `rechained class` events:
+differences and fallbacks:
 
     PYTHONPATH=src python tests/test_sweep.py          # every 3 x 4 class
     PYTHONPATH=src python tests/test_sweep.py --full   # every 4 x 4 graph
@@ -110,9 +110,7 @@ def differences(g, d, index, comp):
 def sweep(n_u, n_v, dedupe):
     """Apply every vertex pair to every graph; returns the tallies and the
     first few differences found."""
-    tally = dict.fromkeys(
-        ("graphs", "updates", "differences", "fallbacks", "rechained"), 0
-    )
+    tally = dict.fromkeys(("graphs", "updates", "differences", "fallbacks"), 0)
     found = []
     pairs = [(f"a{i}", f"b{j}") for i in range(n_u) for j in range(n_v)]
     for edges in graphs(n_u, n_v, dedupe):
@@ -123,9 +121,6 @@ def sweep(n_u, n_v, dedupe):
             report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
             tally["updates"] += 1
             tally["fallbacks"] += report.fell_back
-            tally["rechained"] += sum(
-                ev.startswith("rechained") for ev in report.events
-            )
             wrong = differences(g, d, index, comp)
             if wrong:
                 tally["differences"] += 1

@@ -13,9 +13,12 @@ class. To regenerate after a deliberate change of behaviour:
 With `--digest` the script writes nothing. It runs the same kind of session
 on several more planted-block graphs (1,200 updates) and prints one line per
 step: the first 16 hex digits of the sha256 of the report lines, of the
-sorted `changed` map, of the plain and the compressed index files, and of
-the sorted `edge_counts`. To
-compare the update paths of two checkouts, run
+sorted `changed` map, of the plain and the compressed index files, of
+the sorted `edge_counts`, and of the state with every node id left out:
+the wing numbers, the classes as (level, members), the counts keyed by
+member sets and the compressed groups. The last column lets a
+differential survive a deliberate change of node ids. To compare the
+update paths of two checkouts, run
 
     python tests/test_update_golden.py --digest > digest.txt
 
@@ -38,7 +41,7 @@ def _sha(text):
 
 def session(edges, seed, steps):
     """Alternate seeded random inserts and deletes on the graph of `edges`,
-    yielding (step, report, index, comp) after each update."""
+    yielding (step, report, decomp, index, comp) after each update."""
     from wingsearch import (
         BipartiteGraph,
         apply_update_comp,
@@ -64,7 +67,7 @@ def session(edges, seed, steps):
         else:
             kind, (u, v) = "delete", r.choice(g.sorted_edges())
         report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
-        yield i, report, index, comp
+        yield i, report, d, index, comp
 
 
 def produce():
@@ -73,11 +76,30 @@ def produce():
 
     edges = generate_bipartite(30, 30, 0.08, 3, [(8, 8, 0.85), (6, 6, 0.9)])
     out = []
-    for i, report, index, comp in session(edges, 3, 40):
+    for i, report, _d, index, comp in session(edges, 3, 40):
         out += report.lines(i)
         out.append(f"index sha256 {_sha(serialize(index))}")
         out.append(f"comp sha256 {_sha(serialize(comp))}")
     return "".join(line + "\n" for line in out)
+
+
+def _id_free(decomp, index, comp):
+    """The maintained state with each node id replaced by its members."""
+
+    def classes(ix):
+        return sorted((n.level, n.ordered()) for n in ix.nodes.values())
+
+    def pairs(ix, values):
+        named = {s: n.ordered() for s, n in ix.nodes.items()}
+        return sorted((sorted((named[a], named[b])), n) for (a, b), n in values)
+
+    return repr([
+        sorted(decomp.wing_number.items()),
+        classes(index),
+        pairs(index, index.edge_counts.items()),
+        classes(comp),
+        pairs(comp, ((s, 1) for s in comp.super_edge_set)),
+    ])
 
 
 def digest():
@@ -93,13 +115,16 @@ def digest():
         ("200x200", (200, 200, 0.035, 91, [(12, 12, 0.9)] * 2), 120),
     ]
     for name, spec, steps in graphs:
-        for i, report, index, comp in session(generate_bipartite(*spec), 7, steps):
+        for i, report, d, index, comp in session(
+            generate_bipartite(*spec), 7, steps
+        ):
             texts = [
                 "\n".join(report.lines(i)),
                 repr(sorted(report.changed.items())),
                 serialize(index),
                 serialize(comp),
                 repr(sorted(index.edge_counts.items())),
+                _id_free(d, index, comp),
             ]
             yield " ".join([name, str(i)] + [_sha(t)[:16] for t in texts])
 
