@@ -35,6 +35,8 @@ def run_bench(graph, engines, k, per_bucket=100, seed=0, n_buckets=10):
     """engines: list of (name, fn) with fn(q, k) -> wings. Every engine sees
     the same query vertices. Returns one row per bucket:
     {"bucket": i, "queries": n, "means": {name: seconds}}."""
+    if k < 1:
+        raise InvalidArgumentError(f"k must be >= 1, got {k}")
     if per_bucket < 1:
         raise InvalidArgumentError(
             f"need at least one query per bucket, got {per_bucket}"

@@ -1,13 +1,21 @@
-"""Wing-number decomposition by support peeling.
+"""Wing-number decomposition by support peeling on a bloom-edge index.
 
 The wing number of an edge is the largest k such that the edge survives
 iterated deletion of edges with fewer than k butterflies in the remaining
 subgraph. Peeling processes edges in non-decreasing order of their current
 support with FIFO tie-breaking inside a bucket, clamping assigned values so
 they never decrease.
-"""
 
-from collections import deque
+The peel runs on integer edge ids, the positions in one `sorted_edges()`
+list, and on a bloom-edge index (Wang, Lin, Qin, Zhang, Zhang, ICDE 2020).
+The one `blooms()` pass that counts the supports also stores each bloom as a
+flat list of its live wedges, `[id(u1, x), id(u2, x), ...]`, and gives each
+edge the list of blooms it lies in. Removing an edge deletes its wedge from
+each of its blooms; the butterflies it leaves are the twin edge `(u2, x)`
+paired with each remaining wedge, so no neighbour set is ever intersected.
+Both result dicts are keyed by the tuples of that one sorted list, so every
+later layer holds each edge as one tuple, created up front in sorted order.
+"""
 
 
 class WingDecomposition:
@@ -30,47 +38,55 @@ class WingDecomposition:
 
 def wing_decomposition(graph):
     edges = graph.sorted_edges()
+    eid = {e: i for i, e in enumerate(edges)}
     # initial supports from blooms: each of a bloom's edges lies in
-    # len(common) - 1 of its butterflies; keys stay in sorted edge order
-    support = dict.fromkeys(edges, 0)
+    # len(common) - 1 of its butterflies
+    support = [0] * len(edges)
+    blooms_of = [[] for _ in edges]
     for u1, u2, common in graph.blooms():
         c = len(common) - 1
+        bloom = []
         for x in common:
-            support[(u1, x)] += c
-            support[(u2, x)] += c
+            a = eid[(u1, x)]
+            b = eid[(u2, x)]
+            support[a] += c
+            support[b] += c
+            blooms_of[a].append(bloom)
+            blooms_of[b].append(bloom)
+            bloom += (a, b)
+    del eid
 
-    # shrinking adjacency for in-subgraph butterfly enumeration
-    adj_u = {u: set(vs) for u, vs in graph.adj_u.items()}
-    adj_v = {v: set(us) for v, us in graph.adj_v.items()}
+    cur = list(support)
+    buckets = [[] for _ in range(max(support, default=-1) + 1)]
+    for e, s in enumerate(support):  # id order fixes the FIFO tie-break
+        buckets[s].append(e)
 
-    cur = dict(support)
-    max_s = max(cur.values(), default=0)
-    buckets = [deque() for _ in range(max_s + 1)]
-    for e in edges:  # sorted seed order fixes the FIFO tie-break
-        buckets[cur[e]].append(e)
-
-    wing = {}
-    removed = set()
-    for k in range(max_s + 1):
-        bucket = buckets[k]
-        while bucket:
-            e = bucket.popleft()
-            if e in removed or cur[e] != k:
-                continue  # stale entry, the edge moved to another bucket
-            removed.add(e)
-            wing[e] = k
-            u, v = e
-            adj_u[u].discard(v)
-            adj_v[v].discard(u)
-            # every butterfly through e in the remaining subgraph loses e:
-            # decrement its other three edges, clamped at the current level
-            for u2 in list(adj_v[v]):
-                for v2 in adj_u[u] & adj_u[u2]:
-                    if v2 == v:
-                        continue
-                    for other in ((u, v2), (u2, v), (u2, v2)):
-                        s = cur[other]
-                        if s > k:
-                            cur[other] = s - 1
-                            buckets[s - 1].append(other)
-    return WingDecomposition(wing, support)
+    for k, bucket in enumerate(buckets):
+        for e in bucket:  # grows while it is read: lowered edges land here
+            if cur[e] != k:
+                continue  # stale entry, the edge moved to a lower bucket
+            # each edge reaches the bucket of its final value once, and
+            # removal takes it out of every bloom, so cur[e] is its wing number
+            for bloom in blooms_of[e]:
+                if e not in bloom:
+                    continue  # the twin went first and took the wedge along
+                i = bloom.index(e)
+                twin = bloom[i ^ 1]
+                i &= -2
+                del bloom[i:i + 2]
+                # each remaining wedge closes one butterfly of e with the
+                # twin: lower the twin once by their number and each of
+                # their edges by one, clamped at the current level
+                s = cur[twin]
+                if s > k and bloom:
+                    s = max(k, s - len(bloom) // 2)
+                    cur[twin] = s
+                    buckets[s].append(twin)
+                for o in bloom:
+                    s = cur[o]
+                    if s > k:
+                        cur[o] = s - 1
+                        buckets[s - 1].append(o)
+            blooms_of[e] = None  # free what the peel is done with as it goes
+        buckets[k] = None
+    return WingDecomposition(dict(zip(edges, cur)), dict(zip(edges, support)))

@@ -10,11 +10,20 @@ def generate_bipartite(n_u, n_v, p, seed, blocks=()):
     probability p, plus planted dense blocks. Each block is (rows, cols, q):
     a random rows x cols sub-rectangle filled with per-cell probability q.
     Deterministic for a given seed; labels a0..., b0...; returns sorted
-    edge tuples. A block larger than its side raises InvalidArgumentError."""
-    for rows, cols, _q in blocks:
+    edge tuples. A negative side, a probability outside [0, 1] (NaN
+    included) or a block larger than its side raises InvalidArgumentError."""
+    if n_u < 0 or n_v < 0:
+        raise InvalidArgumentError(f"a side cannot be negative: {n_u}x{n_v}")
+    if not 0 <= p <= 1:
+        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
+    for rows, cols, q in blocks:
         if not (0 <= rows <= n_u and 0 <= cols <= n_v):
             raise InvalidArgumentError(
                 f"block {rows}x{cols} does not fit a {n_u}x{n_v} graph"
+            )
+        if not 0 <= q <= 1:
+            raise InvalidArgumentError(
+                f"block probability must lie in [0, 1], got {q}"
             )
     rng = random.Random(seed)
     edges = set()

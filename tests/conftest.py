@@ -76,6 +76,25 @@ def random_bipartite_edges(rng, nu, nv, p):
     return edges
 
 
+def blocks_sharing_a_vertex(seed):
+    """Two complete s x s blocks that share one vertex (V side on even
+    seeds, U side on odd), over a sparse 12 x 12 random graph. A pair of U
+    vertices, one in each block, then meets at the shared vertex at the
+    blocks' level and elsewhere only lower: a bloom whose top level holds a
+    lone vertex with its two edges in different classes."""
+    rng = random.Random(seed)
+    edges = set(random_bipartite_edges(rng, 12, 12, rng.uniform(0.1, 0.25)))
+    s = rng.randint(3, 4)
+    us = rng.sample(range(12), 2 * s)
+    vs = rng.sample(range(12), 2 * s - 1)
+    blocks = [(us[:s], vs[:s]), (us[s:], vs[s - 1:])]
+    if seed % 2:
+        blocks = [(vs[:s], us[:s]), (vs[s - 1:], us[s:])]
+    for bu, bv in blocks:
+        edges |= {(f"a{i}", f"b{j}") for i in bu for j in bv}
+    return sorted(edges)
+
+
 @pytest.fixture
 def rng():
     return random.Random(1811)

@@ -358,6 +358,19 @@ class TestGen:
         assert code == 3 and "does not fit" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("arg", [
+        "--nu=-3", "--nv=-1", "--p=1.5", "--p=-0.1", "--p=nan",
+        "--block=2:2:-1", "--block=2:2:nan",
+    ])
+    def test_out_of_range_arguments(self, capsys, tmp_path, arg):
+        out = tmp_path / "x.tsv"
+        code, _, err = run(
+            capsys, "gen", "--nu", "3", "--nv", "3", "--p", "0.5", arg,
+            "--out", str(out),
+        )
+        assert code == 3 and ("negative" in err or "[0, 1]" in err)
+        assert not out.exists()
+
 
 class TestStats:
     def test_plain(self, capsys, ew_path):
@@ -401,6 +414,15 @@ class TestBench:
             f"{flag}={value}",
         )
         assert code == 3 and "at least one" in err
+        assert "# decompose time" not in out
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_rejected(self, capsys, fig2_path, k):
+        code, out, err = run(
+            capsys, "bench", "--graph", str(fig2_path), f"-k={k}",
+            "--per-bucket", "2",
+        )
+        assert code == 3 and "k must be >= 1" in err
         assert "# decompose time" not in out
 
 

@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
 import oracles
 from wingsearch import BipartiteGraph, wing_decomposition
+from wingsearch.generate import generate_bipartite
 from wingsearch.graph import butterfly_support
 
-from conftest import FIG2_PSI, random_bipartite_edges
+from conftest import FIG2_PSI, blocks_sharing_a_vertex, random_bipartite_edges
 
 
 def build(edges):
@@ -74,3 +77,63 @@ def test_insertion_order_does_not_matter(rng, fig2_edges):
     rng.shuffle(shuffled)
     decomp_b = wing_decomposition(build(shuffled))
     assert decomp_a.wing_number == decomp_b.wing_number
+
+
+def test_keys_follow_sorted_edges_and_are_shared(rng):
+    for _ in range(5):
+        g = build(random_bipartite_edges(rng, 10, 10, 0.4))
+        d = wing_decomposition(g)
+        assert list(d.wing_number) == g.sorted_edges()
+        # each edge is one tuple object in both dicts: the index's classes
+        # take their members from these keys, and tuples created together
+        # in sorted order keep the query's merge of member runs cache-local
+        assert all(a is b for a, b in zip(d.wing_number, d.support))
+
+
+class TestWideBlooms:
+    """Graphs whose blooms hold many wedges, where one removal lowers the
+    twin edge of each bloom by several butterflies at once."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 7), (5, 3), (6, 6), (9, 4)])
+    def test_complete_block(self, m, n):
+        g = build([(f"a{i}", f"b{j}") for i in range(m) for j in range(n)])
+        d = wing_decomposition(g)
+        assert set(d.wing_number.values()) == {(m - 1) * (n - 1)}
+        assert set(d.support.values()) == {(m - 1) * (n - 1)}
+
+    def test_blocks_sharing_a_vertex_match_oracle(self):
+        for seed in range(12):
+            edges = blocks_sharing_a_vertex(seed)
+            d = wing_decomposition(build(edges))
+            assert d.wing_number == oracles.wing_numbers_oracle(edges), seed
+
+    def test_twin_drop_clamps_at_the_current_level(self):
+        # K_{4,4} less (a1,b1), (a2,b3) and (a3,b2): every edge has wing
+        # number 3. The peel removes (a1,b2) at level 3 from the bloom
+        # {a0,a1} x {b0,b2,b3}; its twin (a0,b2) has 4 butterflies left and
+        # loses 2 at once, so only the clamp keeps it at 3
+        missing = {(1, 1), (2, 3), (3, 2)}
+        edges = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)
+                 if (i, j) not in missing]
+        d = wing_decomposition(build(edges))
+        assert d.support[("a0", "b2")] == 4
+        assert d.wing_number == oracles.wing_numbers_oracle(edges)
+        assert set(d.wing_number.values()) == {3}
+
+    @pytest.mark.parametrize("args,n_edges,digest", [
+        ((200, 200, 0.035, 91, [(12, 12, 0.9)] * 2), 1702,
+         "f5ac0b515268acf5a939e6be4d92cd4b6247173a799ba0f73b4b862537aaf622"),
+        ((400, 400, 0.035, 91, [(20, 20, 0.9)] * 2), 6394,
+         "670b26ede42b6fd54b96deea977cf9428ed3d94963f3fd63a8f615c49aca09ed"),
+    ])
+    def test_pinned_digest(self, args, n_edges, digest):
+        """sha256 of the sorted (edge, wing number, support) lines, as the
+        butterfly-by-butterfly peel computed them."""
+        edges = generate_bipartite(*args)
+        d = wing_decomposition(build(edges))
+        assert len(edges) == n_edges
+        h = hashlib.sha256()
+        for e in sorted(d.wing_number):
+            line = f"{e[0]}\t{e[1]}\t{d.wing_number[e]}\t{d.support[e]}\n"
+            h.update(line.encode())
+        assert h.hexdigest() == digest
