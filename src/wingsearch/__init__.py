@@ -18,7 +18,6 @@ from .dynamic import (
     apply_update,
     apply_update_comp,
     compute_delta,
-    k_level_butterfly_count,
     wing_upper_bound,
 )
 from .equiwing import (
@@ -43,9 +42,7 @@ from .errors import (
 from .generate import generate_bipartite
 from .graph import (
     BipartiteGraph,
-    butterflies_containing,
     butterfly_edges,
-    butterfly_support,
     load_edge_list,
     save_edge_list,
 )

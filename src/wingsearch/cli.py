@@ -155,10 +155,17 @@ def _verify_index_matches(graph, decomp, index, shadow=None):
                 )
 
 
-def cmd_decompose(args):
-    graph, dups = load_edge_list(args.graph)
+def _load_graph(path):
+    """Load a graph file, noting on a `# ` line the duplicate edges it
+    dropped."""
+    graph, dups = load_edge_list(path)
     if dups:
         print(f"# ignored {dups} duplicate edges")
+    return graph
+
+
+def cmd_decompose(args):
+    graph = _load_graph(args.graph)
     t0 = time.perf_counter()
     decomp = wing_decomposition(graph)
     dt = time.perf_counter() - t0
@@ -176,9 +183,7 @@ def cmd_decompose(args):
 
 
 def cmd_build(args):
-    graph, dups = load_edge_list(args.graph)
-    if dups:
-        print(f"# ignored {dups} duplicate edges")
+    graph = _load_graph(args.graph)
     t0 = time.perf_counter()
     decomp = wing_decomposition(graph)
     index = build_equiwing(graph, decomp)
@@ -205,7 +210,7 @@ def cmd_query(args):
     if engine == "baseline":
         if not args.graph:
             raise InvalidArgumentError("--engine baseline requires --graph")
-        graph, _dups = load_edge_list(args.graph)
+        graph = _load_graph(args.graph)
         t0 = time.perf_counter()
         decomp = wing_decomposition(graph)
         wings = baseline_search(graph, decomp, args.q, args.k)
@@ -220,7 +225,7 @@ def cmd_query(args):
                 f"index file is {kind!r} but --engine asked for {engine!r}"
             )
         if args.graph:
-            graph, _dups = load_edge_list(args.graph)
+            graph = _load_graph(args.graph)
             if not graph.has_vertex(args.q):
                 raise UnknownVertexError(f"vertex {args.q!r} not in graph")
         t0 = time.perf_counter()
@@ -241,7 +246,7 @@ def cmd_update(args):
             "update needs at least one --insert or --delete"
         )
     mutations = [(kind, _parse_edge(val)) for kind, val in args.mutations]
-    graph, _dups = load_edge_list(args.graph)
+    graph = _load_graph(args.graph)
     text = _read_text(args.index)
     kind = _sniff(text)
     decomp = wing_decomposition(graph)
@@ -297,7 +302,7 @@ def cmd_stats(args):
 def cmd_bench(args):
     # run_bench's count checks, on an empty graph before the costly set-up
     run_bench(BipartiteGraph(), [], args.k, args.per_bucket, n_buckets=args.buckets)
-    graph, _dups = load_edge_list(args.graph)
+    graph = _load_graph(args.graph)
     t0 = time.perf_counter()
     decomp = wing_decomposition(graph)
     t_decomp = time.perf_counter() - t0

@@ -32,9 +32,6 @@ class WingDecomposition:
     def edges_at_least(self, k):
         return [e for e, w in self.wing_number.items() if w >= k]
 
-    def copy(self):
-        return WingDecomposition(dict(self.wing_number), dict(self.support))
-
 
 def wing_decomposition(graph):
     edges = graph.sorted_edges()

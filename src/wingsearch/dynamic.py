@@ -16,10 +16,13 @@ all have wing number >= k. Consequences used here:
 
 Both kinds share one path and one order: take the butterflies through e'
 (those it closes, or the dying ones), apply e', then find the scope on the
-graph it leaves. An insert starts the edges below its bound that butterflies
-chain to e' at optimistic values, their old ones as floors. A delete starts
-at the old values, which hold but on the dying butterflies: it seeds their
-edges and takes in another edge only when a butterfly neighbour drops.
+graph it leaves. One count, how many of those butterflies each other edge
+lies in, gives delta, the support patch and an insert's start values. An
+insert starts the edges below its bound that butterflies chain to e' at
+optimistic values, the lesser of the bound and the edge's new support,
+their old ones as floors. A delete starts at the old values, which hold but
+on the dying butterflies: it seeds their edges and takes in another edge
+only when a butterfly neighbour drops.
 The scope's classes are those of e' and of the changed edges, the classes a
 created or dying butterfly chains, and on a delete the classes at the old
 minimum of each butterfly whose minimum drops: only there can a delete
@@ -60,35 +63,6 @@ def compute_delta(graph, u, v):
     """Largest number of new butterflies any single existing edge would gain
     from inserting (u, v)."""
     return _start(graph, {}, "insert", u, v)[0].delta
-
-
-def k_level_butterfly_count(graph, decomp, u, v, k):
-    """Butterflies through (u, v) whose other three edges all have wing
-    number >= k; k <= 0 disables the filter (plain support)."""
-    if not graph.has_edge(u, v):
-        raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
-    wn = decomp.wing_number
-    n = 0
-    for b in graph.butterflies_of_edge(u, v):
-        if k <= 0:
-            n += 1
-            continue
-        if min(wn.get(f, 0) for f in butterfly_edges(b) if f != (u, v)) >= k:
-            n += 1
-    return n
-
-
-def _insert_bound(wn, e, through):
-    """(bound, delta) for inserting e, from the butterflies it closes."""
-    counts = {}
-    mins = []
-    for b in through:
-        others = [f for f in butterfly_edges(b) if f != e]
-        mins.append(min(wn.get(f, 0) for f in others))
-        for f in others:
-            counts[f] = counts.get(f, 0) + 1
-    delta = max(counts.values(), default=0)
-    return _h_index(mins) + delta, delta
 
 
 def wing_upper_bound(graph, decomp, u, v):
@@ -186,7 +160,8 @@ def _closure(graph, start, keep):
 def _start(graph, wn, kind, u, v):
     """Check the request and open its report, bound and delta filled in.
     Returns it with the butterflies the update creates or destroys, taken
-    before the edge is applied."""
+    before the edge is applied, and their `gain`: edge f != e -> how many
+    of them f lies in."""
     e = (u, v)
     if kind == "insert":
         if graph.has_edge(u, v):
@@ -196,14 +171,25 @@ def _start(graph, wn, kind, u, v):
     elif not graph.has_edge(u, v):
         raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
     through = list(graph.butterflies_of_edge(u, v))
-    if kind == "insert":
-        return UpdateReport(kind, e, *_insert_bound(wn, e, through)), through
-    return UpdateReport(kind, e, wn.get(e, 0), None), through
+    gain = {}
+    for b in through:
+        for f in butterfly_edges(b):
+            if f != e:
+                gain[f] = gain.get(f, 0) + 1
+    if kind == "delete":
+        return UpdateReport(kind, e, wn.get(e, 0), None), through, gain
+    delta = max(gain.values(), default=0)
+    mins = [min(wn.get(f, 0) for f in butterfly_edges(b) if f != e)
+            for b in through]
+    return UpdateReport(kind, e, _h_index(mins) + delta, delta), through, gain
 
 
-def _scope(graph, wn, index, report, through):
+def _scope(graph, decomp, index, report, through, gain):
     """Fill in the report's scope on `graph`, which the update has already
-    changed; `through` holds the butterflies it created or destroyed."""
+    changed; `through` holds the butterflies it created or destroyed, and
+    `gain` how many of them each other edge lies in. `decomp` is read, as
+    it was before the update."""
+    wn = decomp.wing_number
     e = report.edge
     p = report.upper_bound
 
@@ -221,7 +207,7 @@ def _scope(graph, wn, index, report, through):
 
     if report.kind == "insert":  # the closure holds all a drop can reach
         cand = _closure(graph, e, lambda y: wn.get(y, 0) < p)
-        up = {y: min(p, graph.support(*y)) for y in cand}
+        up = {y: min(p, decomp.support[y] + gain.get(y, 0)) for y in cand}
         up[e] = min(p, len(through))
         _fixpoint(graph, wn, up, {y: wn.get(y, 0) for y in up}, 0)
     else:
@@ -262,10 +248,10 @@ def affected_edges(graph, decomp, index, kind, u, v):
     """The update's report before any surgery: bound, delta, the scope and
     `changed`. Mutates nothing: the update is evaluated on a copy of the
     graph with the edge applied."""
-    report, through = _start(graph, decomp.wing_number, kind, u, v)
+    report, through, gain = _start(graph, decomp.wing_number, kind, u, v)
     graph = graph.copy()
     (graph.insert_edge if kind == "insert" else graph.delete_edge)(u, v)
-    _scope(graph, decomp.wing_number, index, report, through)
+    _scope(graph, decomp, index, report, through, gain)
     return report
 
 
@@ -350,7 +336,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     index in place. Returns the UpdateReport that `affected_edges` would
     give, widened by the surgery."""
     wn = decomp.wing_number
-    report, through = _start(graph, wn, kind, u, v)
+    report, through, gain = _start(graph, wn, kind, u, v)
     e = report.edge
     insert = kind == "insert"
     if index.edge_counts is None:
@@ -358,24 +344,19 @@ def apply_update(graph, decomp, index, kind, u, v):
     wn_old = dict(wn)
     class_old = dict(index.per_edge_node)
 
-    sign = 1 if insert else -1
-    for b in through:
-        for f in butterfly_edges(b):
-            if f != e:
-                decomp.support[f] += sign
-    if insert:
-        graph.insert_edge(u, v)
-        decomp.support[e] = len(through)
-    else:
-        graph.delete_edge(u, v)
-        decomp.support.pop(e, None)
-    _scope(graph, wn, index, report, through)
+    (graph.insert_edge if insert else graph.delete_edge)(u, v)
+    _scope(graph, decomp, index, report, through, gain)
 
+    sign = 1 if insert else -1
+    for f, n in gain.items():
+        decomp.support[f] += sign * n
     for f, (_old, new) in report.changed.items():
         wn[f] = new
     if insert:
+        decomp.support[e] = len(through)
         wn.setdefault(e, 0)
     else:
+        decomp.support.pop(e, None)
         wn.pop(e, None)
 
     _reclassify(index, graph, wn, report)

@@ -74,25 +74,6 @@ class BipartiteGraph:
         g.adj_v = {v: set(us) for v, us in self.adj_v.items()}
         return g
 
-    def support(self, u, v):
-        """Butterfly support of edge (u,v): how many butterflies contain it."""
-        if not self.has_edge(u, v):
-            raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
-        count = 0
-        # pair (u,v) with (u2,v2): u2 another neighbour of v, v2 another
-        # neighbour of u, and (u2,v2) must be an edge
-        if len(self.adj_u[u]) <= len(self.adj_v[v]):
-            for v2 in self.adj_u[u]:
-                if v2 == v:
-                    continue
-                count += len(self.adj_v[v] & self.adj_v[v2]) - 1  # minus u itself
-        else:
-            for u2 in self.adj_v[v]:
-                if u2 == u:
-                    continue
-                count += len(self.adj_u[u] & self.adj_u[u2]) - 1
-        return count
-
     def butterflies_of_edge(self, u, v):
         """Yield canonical butterflies containing (u,v). For an absent edge,
         yield those that inserting it would close."""
@@ -149,17 +130,6 @@ class BipartiteGraph:
 def butterfly_edges(b):
     u1, u2, v1, v2 = b
     return ((u1, v1), (u1, v2), (u2, v1), (u2, v2))
-
-
-def butterfly_support(graph, u, v):
-    return graph.support(u, v)
-
-
-def butterflies_containing(graph, u, v):
-    """All butterflies through edge (u,v), as sorted canonical tuples."""
-    if not graph.has_edge(u, v):
-        raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
-    return sorted(set(graph.butterflies_of_edge(u, v)))
 
 
 def load_edge_list(path):

@@ -196,6 +196,28 @@ class TestUpdate:
         assert len(index.nodes) == 4
         assert sorted(n.level for n in index.nodes.values()) == [1, 2, 3, 4]
 
+    def test_duplicate_lines_are_noted_and_dropped(self, capsys, tmp_path):
+        """The graph file is rewritten as its sorted edge list: without the
+        duplicate and the comment, and with the same payload as a clean
+        file."""
+        edges = "a2 b2\na1 b1\na1 b2\na2 b1\n"
+        outs = []
+        for name, text in [("dup", "# c\n" + edges + "a1 b1\n"),
+                           ("clean", edges)]:
+            g, ew = tmp_path / f"{name}.tsv", tmp_path / f"{name}.ew"
+            g.write_text(text)
+            code, out, _ = run(capsys, "build", "--graph", str(g),
+                               "--out", str(ew))
+            assert code == 0
+            code, out, _ = run(capsys, "update", "--graph", str(g),
+                               "--index", str(ew), "--insert", "a3:b1")
+            assert code == 0
+            noted = "# ignored 1 duplicate edges\n" in out
+            assert noted == (name == "dup")
+            assert g.read_text() == "a1\tb1\na1\tb2\na2\tb1\na2\tb2\na3\tb1\n"
+            outs.append(payload(out))
+        assert outs[0] == outs[1] and "mutation 1 insert a3 b1" in outs[0]
+
     def test_rewritten_files_keep_their_modes(self, capsys, g_path, ew_path):
         os.chmod(g_path, 0o664)
         os.chmod(ew_path, 0o644)

@@ -5,7 +5,6 @@ import pytest
 import oracles
 from wingsearch import BipartiteGraph, wing_decomposition
 from wingsearch.generate import generate_bipartite
-from wingsearch.graph import butterfly_support
 
 from conftest import FIG2_PSI, blocks_sharing_a_vertex, random_bipartite_edges
 
@@ -23,10 +22,10 @@ def test_fig2_wing_numbers_exact(fig2_graph):
     assert decomp.k_max == 4
 
 
-def test_fig2_support_field_is_initial_support(fig2_graph):
+def test_fig2_support_field_is_initial_support(fig2_graph, fig2_edges):
     decomp = wing_decomposition(fig2_graph)
     for e in fig2_graph.edges():
-        assert decomp.support[e] == butterfly_support(fig2_graph, *e)
+        assert decomp.support[e] == oracles.support_of(e, fig2_edges)
 
 
 def test_single_butterfly_all_one():

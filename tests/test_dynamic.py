@@ -15,7 +15,6 @@ from wingsearch import (
     compress,
     compute_delta,
     generate_bipartite,
-    k_level_butterfly_count,
     query_comp,
     query_equiwing,
     serialize,
@@ -26,7 +25,7 @@ from wingsearch.errors import InvalidArgumentError, UnknownEdgeError
 from wingsearch.graph import butterfly_edges
 
 from conftest import FIG2_CLASSES, random_bipartite_edges
-from oracles import justification_counts_oracle
+from oracles import butterflies_through, justification_counts_oracle
 
 
 def build(edges):
@@ -82,11 +81,20 @@ class TestBoundHelpers:
         d = wing_decomposition(fig2_graph)
         assert wing_upper_bound(fig2_graph, d, "v4", "u6") == 4
 
-    def test_level_filtered_butterfly_count(self, fig2_graph):
-        d = wing_decomposition(fig2_graph)
-        assert k_level_butterfly_count(fig2_graph, d, "v7", "u6", 0) == 5
-        assert k_level_butterfly_count(fig2_graph, d, "v7", "u6", 4) == 4
-        assert k_level_butterfly_count(fig2_graph, d, "v1", "u1", 1) == 1
+    def test_level_filtered_butterfly_count(self, fig2_graph, fig2_edges):
+        """Butterflies through e whose other three edges all have wing
+        number >= k."""
+        wn = wing_decomposition(fig2_graph).wing_number
+
+        def count(e, k):
+            return sum(
+                min(wn[f] for f in butterfly_edges(b) if f != e) >= k
+                for b in butterflies_through(e, fig2_edges)
+            )
+
+        assert count(("v7", "u6"), 0) == 5
+        assert count(("v7", "u6"), 4) == 4
+        assert count(("v1", "u1"), 1) == 1
 
     def test_argument_errors(self, fig2_graph):
         d = wing_decomposition(fig2_graph)
@@ -94,8 +102,6 @@ class TestBoundHelpers:
             compute_delta(fig2_graph, "v1", "u1")
         with pytest.raises(InvalidArgumentError):
             wing_upper_bound(fig2_graph, d, "v1", "u1")
-        with pytest.raises(UnknownEdgeError):
-            k_level_butterfly_count(fig2_graph, d, "v4", "u6", 1)
 
     def test_bound_is_sound_on_random_inserts(self, rng):
         for _ in range(20):
@@ -596,7 +602,8 @@ class TestMidScale:
     """Maintenance against a rebuild where classes are large: a 1,702-edge
     graph with two planted 12x12 blocks, whose largest classes hold 349 and
     287 members. Every step is checked against a scratch decomposition,
-    build and compression. Budget: about 5-10 s on 2 vCPUs."""
+    build and compression, and each insert's report against the one that
+    `affected_edges` gives beforehand. Budget: about 5-10 s on 2 vCPUs."""
 
     def test_mutations_track_a_rebuild(self):
         g = build(generate_bipartite(200, 200, 0.035, 91, [(12, 12, 0.9)] * 2))
@@ -621,7 +628,13 @@ class TestMidScale:
                 while g.has_edge(u, v):
                     u, v = r.choice(us), r.choice(vs)
                 kind = "insert"
+                # on the state that earlier updates carried, supports included
+                scope = affected_edges(g, d, index, kind, u, v)
             report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
             assert report.fell_back is False, step
+            if kind == "insert":
+                assert scope.changed == report.changed, step
+                assert scope.upper_bound == report.upper_bound, step
+                assert scope.delta == report.delta, step
             assert_matches_scratch(g, d, index)
             assert serialize(comp) == serialize(compress(index))

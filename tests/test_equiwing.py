@@ -203,9 +203,10 @@ class TestBloomBuild:
 
     def test_supports_match_per_edge_count(self):
         for seed in range(20):
-            g, d, _index = built_index(blocks_sharing_a_vertex(seed))
+            edges = blocks_sharing_a_vertex(seed)
+            g, d, _index = built_index(edges)
             assert list(d.support.items()) == [
-                (e, g.support(*e)) for e in g.sorted_edges()
+                (e, oracles.support_of(e, edges)) for e in g.sorted_edges()
             ]
 
 

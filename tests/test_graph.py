@@ -4,7 +4,7 @@ import stat
 import pytest
 
 import oracles
-from wingsearch import BipartiteGraph, butterflies_containing, butterfly_support
+from wingsearch import BipartiteGraph, wing_decomposition
 from wingsearch.errors import GraphFormatError, UnknownEdgeError
 from wingsearch.graph import (
     atomic_write_text,
@@ -85,13 +85,14 @@ class TestMutation:
 
 
 class TestButterflies:
-    def test_supports_on_fig2(self, fig2_graph):
-        assert butterfly_support(fig2_graph, "v2", "u2") == 3
-        assert butterfly_support(fig2_graph, "v1", "u1") == 1
-        assert butterfly_support(fig2_graph, "v6", "u4") == 2
+    def test_supports_on_fig2(self, fig2_graph, fig2_edges):
+        support = wing_decomposition(fig2_graph).support
+        for e, n in [(("v2", "u2"), 3), (("v1", "u1"), 1), (("v6", "u4"), 2)]:
+            assert support[e] == oracles.support_of(e, fig2_edges) == n
 
-    def test_butterflies_containing_edge(self, fig2_graph):
-        bs = butterflies_containing(fig2_graph, "v7", "u6")
+    def test_butterflies_containing_edge(self, fig2_graph, fig2_edges):
+        bs = sorted(fig2_graph.butterflies_of_edge("v7", "u6"))
+        assert bs == oracles.butterflies_through(("v7", "u6"), fig2_edges)
         assert len(bs) == 5
         for b in bs:
             assert ("v7", "u6") in butterfly_edges(b)
@@ -114,7 +115,7 @@ class TestButterflies:
             g = BipartiteGraph()
             for u, v in edges:
                 g.insert_edge(u, v)
-            total = sum(butterfly_support(g, u, v) for u, v in g.edges())
+            total = sum(wing_decomposition(g).support.values())
             assert total == 4 * len(oracles.enumerate_butterflies(edges))
 
     def test_blooms_fold_the_butterflies(self, rng):
