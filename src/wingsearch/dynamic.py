@@ -10,19 +10,19 @@ all have wing number >= k. Consequences used here:
   minimum old wing number of the three existing edges. A higher value for
   any edge would certify a wing that must already have existed.
 * delete cap: only edges with old wing number <= w(e') can change.
-* exact recomputation: repeatedly lower values to max(floor, h-index of
-  the edge's butterflies' minima); from any start at or above the true new
-  wing numbers this reaches them, the greatest fixpoint below the start.
+* exact recomputation: repeatedly lower values to the h-index of the
+  edge's butterflies' minima; from any start at or above the true new wing
+  numbers this reaches them, the greatest fixpoint below the start.
 
 Both kinds share one path and one order: take the butterflies through e'
 (those it closes, or the dying ones), apply e', then find the scope on the
 graph it leaves. One count, how many of those butterflies each other edge
 lies in, gives delta, the support patch and an insert's start values. An
-insert starts the edges below its bound that butterflies chain to e' at
-optimistic values, the lesser of the bound and the edge's new support,
-their old ones as floors. A delete starts at the old values, which hold but
-on the dying butterflies: it seeds their edges and takes in another edge
-only when a butterfly neighbour drops.
+insert starts at e' alone; the walk takes in each edge below its bound when
+it first reads it, at the lesser of the bound and its new support. A delete
+starts at the old values, which hold but on the dying butterflies: it seeds
+their edges and takes in another edge only when a neighbour's drop crosses
+its value.
 The scope's classes are those of e' and of the changed edges, the classes a
 created or dying butterfly chains, and on a delete the classes at the old
 minimum of each butterfly whose minimum drops: only there can a delete
@@ -108,53 +108,45 @@ class UpdateReport:
         return out
 
 
-def _fixpoint(graph, wn, up, floors, cap):
-    """Lower `up` values to the greatest fixpoint of the locality operator,
-    never dropping below `floors`. Edges outside `up` count at their old
-    value w; when a value drops, each butterfly neighbour outside `up` with
-    1 <= w <= cap joins it at w (cap 0 admits none)."""
+def _fixpoint(graph, wn, up, start=None):
+    """Lower `up` values to the greatest fixpoint of the locality operator
+    below their start; an edge outside `up` counts at its old value w. An
+    insert's `start(g)`, when not None, takes g in at that value the first
+    time an evaluation reads it; an edge it leaves out sits at or above the
+    bound and cannot move. Only a delete (no `start`) takes an edge outside
+    `up` in, at w, when a drop crosses w. A drop from `old` to `val` queues
+    each butterfly neighbour whose value v has val < v <= old: only such a
+    drop costs it a butterfly whose minimum reaches v. No floor is needed:
+    the iterates never fall below the true new values, on an insert at
+    least the old."""
     work = deque(sorted(up))
     inwork = set(work)
-
-    def cur(f):
-        return up[f] if f in up else wn.get(f, 0)
-
     while work:
         f = work.popleft()
         inwork.discard(f)
-        mins = [
-            min(cur(g) for g in butterfly_edges(b) if g != f)
-            for b in graph.butterflies_of_edge(*f)
-        ]
-        val = max(_h_index(mins), floors.get(f, 0))
-        if val < up[f]:
-            up[f] = val
-            for b in graph.butterflies_of_edge(*f):
-                for g in butterfly_edges(b):
-                    if g not in up and 1 <= wn.get(g, 0) <= cap:
-                        up[g] = wn[g]
-                    if g in up and g not in inwork and g != f:
+        others = [[g for g in butterfly_edges(b) if g != f]
+                  for b in graph.butterflies_of_edge(*f)]
+        for gs in others if start else ():
+            for g in gs:
+                if g not in up:
+                    s = start(g)
+                    if s is not None:
+                        up[g] = s
                         inwork.add(g)
                         work.append(g)
-
-
-def _closure(graph, start, keep):
-    """Edges reachable from `start` through butterflies, filtered by
-    `keep`; expansion continues through kept edges only."""
-    out = set()
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        x = queue.popleft()
-        for b in graph.butterflies_of_edge(*x):
-            for y in butterfly_edges(b):
-                if y in seen:
-                    continue
-                seen.add(y)
-                if keep(y):
-                    out.add(y)
-                    queue.append(y)
-    return out
+        old = up[f]
+        val = _h_index(min(up.get(g, wn.get(g, 0)) for g in gs)
+                       for gs in others)
+        if val < old:
+            up[f] = val
+            for gs in others:
+                for g in gs:
+                    v = up.get(g, wn.get(g, 0))
+                    if (val < v <= old and g not in inwork
+                            and (g in up or start is None)):
+                        up[g] = v
+                        inwork.add(g)
+                        work.append(g)
 
 
 def _start(graph, wn, kind, u, v):
@@ -205,16 +197,19 @@ def _scope(graph, decomp, index, report, through, gain):
             if x != e and 1 <= level(x) <= min(level(f) for f in es if f != x):
                 seeds.add(index.per_edge_node.get(x))
 
-    if report.kind == "insert":  # the closure holds all a drop can reach
-        cand = _closure(graph, e, lambda y: wn.get(y, 0) < p)
-        up = {y: min(p, decomp.support[y] + gain.get(y, 0)) for y in cand}
-        up[e] = min(p, len(through))
-        _fixpoint(graph, wn, up, {y: wn.get(y, 0) for y in up}, 0)
+    if report.kind == "insert":
+        up = {e: min(p, len(through))}
+
+        def start(y):  # an edge below the bound may rise, up to its support
+            if wn.get(y, 0) < p:
+                return min(p, decomp.support[y] + gain.get(y, 0))
+            return None
     else:
         # the old values hold everywhere but on the dying butterflies
         up = {y: wn[y] for b in through for y in butterfly_edges(b)
               if y != e and 1 <= wn.get(y, 0) <= p}
-        _fixpoint(graph, wn, up, {}, p)
+        start = None
+    _fixpoint(graph, wn, up, start)
 
     changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
     seeds.update(index.per_edge_node.get(f) for f in changed)

@@ -58,12 +58,22 @@ def fig2_path():
 
 @pytest.fixture
 def fig2_graph():
+    return build(FIG2_EDGES)
+
+
+def build(edges):
+    """The graph on the edge list `edges`."""
     from wingsearch.graph import BipartiteGraph
 
     g = BipartiteGraph()
-    for u, v in FIG2_EDGES:
+    for u, v in edges:
         g.insert_edge(u, v)
     return g
+
+
+def levelled_members(index):
+    """Each class of `index` as its member set, mapped to its level."""
+    return {frozenset(n.members): n.level for n in index.nodes.values()}
 
 
 def random_bipartite_edges(rng, nu, nv, p):

@@ -12,7 +12,6 @@ import pytest
 
 import oracles
 from wingsearch import (
-    BipartiteGraph,
     QueryCounters,
     apply_update,
     apply_update_comp,
@@ -34,19 +33,10 @@ from conftest import (
     FIG2_CLASSES,
     FIG2_PSI,
     FIG2_SUPER_EDGES,
+    build,
+    levelled_members,
     random_bipartite_edges,
 )
-
-
-def build(edges):
-    g = BipartiteGraph()
-    for u, v in edges:
-        g.insert_edge(u, v)
-    return g
-
-
-def node_shapes(index):
-    return {frozenset(n.members): n.level for n in index.nodes.values()}
 
 
 def edge_shapes(index):
@@ -194,10 +184,10 @@ def test_criterion_06_dynamic_soundness_sweep():
             # rebuilt super graphs have the same nodes and adjacency (so
             # every (q,k) answer is forced), plus direct spot checks
             scratch_ew = build_equiwing(g, scratch_d)
-            assert node_shapes(index) == node_shapes(scratch_ew)
+            assert levelled_members(index) == levelled_members(scratch_ew)
             assert edge_shapes(index) == edge_shapes(scratch_ew)
             scratch_comp = compress(scratch_ew)
-            assert node_shapes(comp) == node_shapes(scratch_comp)
+            assert levelled_members(comp) == levelled_members(scratch_comp)
             assert edge_shapes(comp) == edge_shapes(scratch_comp)
             labels = sorted({x for e in g.sorted_edges() for x in e})
             for _ in range(2):

@@ -1,7 +1,6 @@
 import pytest
 
 from wingsearch import (
-    BipartiteGraph,
     EquiWingIndex,
     SuperNode,
     baseline_search,
@@ -18,19 +17,13 @@ from wingsearch import (
 )
 from wingsearch.errors import IndexFormatError
 
-from conftest import FIG2_CLASSES, random_bipartite_edges
+from conftest import (
+    FIG2_CLASSES,
+    build,
+    levelled_members,
+    random_bipartite_edges,
+)
 from oracles import compressed_groups_oracle
-
-
-def build(edges):
-    g = BipartiteGraph()
-    for u, v in edges:
-        g.insert_edge(u, v)
-    return g
-
-
-def member_map(index):
-    return {frozenset(n.members): n.level for n in index.nodes.values()}
 
 
 # a small graph whose compressed index is a tree: one plain butterfly
@@ -92,7 +85,7 @@ class TestCompressionProperties:
             assert flat(comp) == flat(index)
             assert len(comp.nodes) <= len(index.nodes)
             # every compressed node is a union of whole uncompressed classes
-            originals = member_map(index)
+            originals = levelled_members(index)
             for node in comp.nodes.values():
                 pool = set(node.members)
                 while pool:
@@ -107,7 +100,7 @@ class TestCompressionProperties:
         index = build_equiwing(fig2_graph)
         full = compress(index)
         again = compress(index)
-        assert member_map(again) == member_map(full)
+        assert levelled_members(again) == levelled_members(full)
         assert sorted(again.merge_log) == sorted(full.merge_log)
 
 
@@ -216,7 +209,7 @@ class TestSerialization:
         again = deserialize_comp(text)
         assert serialize_comp(again) == text
         assert again.merge_log == comp.merge_log
-        assert member_map(again) == member_map(comp)
+        assert levelled_members(again) == levelled_members(comp)
 
     def test_random_round_trips(self, rng):
         for _ in range(8):

@@ -6,14 +6,12 @@ import oracles
 from wingsearch import BipartiteGraph, wing_decomposition
 from wingsearch.generate import generate_bipartite
 
-from conftest import FIG2_PSI, blocks_sharing_a_vertex, random_bipartite_edges
-
-
-def build(edges):
-    g = BipartiteGraph()
-    for u, v in edges:
-        g.insert_edge(u, v)
-    return g
+from conftest import (
+    FIG2_PSI,
+    blocks_sharing_a_vertex,
+    build,
+    random_bipartite_edges,
+)
 
 
 def test_fig2_wing_numbers_exact(fig2_graph):

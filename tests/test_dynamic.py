@@ -24,23 +24,17 @@ from wingsearch import (
 from wingsearch.errors import InvalidArgumentError, UnknownEdgeError
 from wingsearch.graph import butterfly_edges
 
-from conftest import FIG2_CLASSES, random_bipartite_edges
+from conftest import (
+    FIG2_CLASSES,
+    build,
+    levelled_members,
+    random_bipartite_edges,
+)
 from oracles import butterflies_through, justification_counts_oracle
-
-
-def build(edges):
-    g = BipartiteGraph()
-    for u, v in edges:
-        g.insert_edge(u, v)
-    return g
 
 
 def member_sets(index):
     return {frozenset(n.members) for n in index.nodes.values()}
-
-
-def levelled_members(index):
-    return {frozenset(n.members): n.level for n in index.nodes.values()}
 
 
 def counts_by_members(index):
@@ -68,6 +62,32 @@ def fig2_state(fig2_graph):
     g = fig2_graph.copy()
     d = wing_decomposition(g)
     return g, d, build_equiwing(g, d)
+
+
+class CountingGraph(BipartiteGraph):
+    """Counts butterfly enumerations: `butterflies_of_edge` calls."""
+
+    calls = 0
+
+    def butterflies_of_edge(self, u, v):
+        self.calls += 1
+        return super().butterflies_of_edge(u, v)
+
+
+def square_chain(n=200):
+    """A chain of n butterflies, square i on {a_i, a_i+1} x {b_i, b_i+1}:
+    one level-1 block, every edge butterfly-connected to every other at
+    level 1. Returns its state with the call count at 0."""
+    g = CountingGraph()
+    for i in range(n):
+        a, a1, b, b1 = f"a{i:03}", f"a{i + 1:03}", f"b{i:03}", f"b{i + 1:03}"
+        for u, v in ((a, b), (a, b1), (a1, b), (a1, b1)):
+            g.insert_edge(u, v)
+    d = wing_decomposition(g)
+    index = build_equiwing(g, d)
+    assert set(d.wing_number.values()) == {1} and len(index.nodes) == 1
+    g.calls = 0
+    return g, d, index
 
 
 class TestBoundHelpers:
@@ -242,6 +262,21 @@ class TestApplyInsert:
         with pytest.raises(InvalidArgumentError):
             apply_update(g, d, index, "insert", "v1", "u1")
 
+    @pytest.mark.parametrize("square", [0, 100])
+    def test_work_is_about_one_enumeration_per_edge(self, square):
+        """Inserting e = (a_i, b_i+2) into the square chain closes three
+        butterflies and sets the bound to 3, above every wing number, so
+        every edge of the chain may rise and is evaluated. A drop re-queues
+        a neighbour only when it crosses the neighbour's value, which the
+        chain allows only next to e: about one enumeration per edge."""
+        g, d, index = square_chain()
+        report = apply_update(
+            g, d, index, "insert", f"a{square:03}", f"b{square + 2:03}"
+        )
+        assert report.upper_bound == 3
+        assert g.calls <= g.num_edges + 10
+        assert_matches_scratch(g, d, index)
+
 
 class TestApplyDelete:
     def test_fixture(self, fig2_graph):
@@ -271,37 +306,19 @@ class TestApplyDelete:
 
     @pytest.mark.parametrize("square", [0, 100])
     def test_work_is_bounded_by_what_changes(self, square):
-        """A chain of 200 butterflies, square i on {a_i, a_i+1} x {b_i, b_i+1},
-        is one level-1 block: every edge is butterfly-connected to every
-        other at level 1 = w(e). Deleting e = (a_i, b_i+1) kills square i and
+        """Deleting e = (a_i, b_i+1) from the square chain kills square i and
         moves at most three wing numbers, so the delete may look at the
         dying butterfly's edges and the changed ones, not the block."""
-
-        class CountingGraph(BipartiteGraph):
-            calls = 0
-
-            def butterflies_of_edge(self, u, v):
-                self.calls += 1
-                return super().butterflies_of_edge(u, v)
-
-        n = 200
-        g = CountingGraph()
-        for i in range(n):
-            a, a1, b, b1 = f"a{i:03}", f"a{i + 1:03}", f"b{i:03}", f"b{i + 1:03}"
-            for u, v in ((a, b), (a, b1), (a1, b), (a1, b1)):
-                g.insert_edge(u, v)
-        d = wing_decomposition(g)
-        index = build_equiwing(g, d)
-        assert set(d.wing_number.values()) == {1} and len(index.nodes) == 1
+        g, d, index = square_chain()
         e = (f"a{square:03}", f"b{square + 1:03}")
         (dying,) = g.butterflies_of_edge(*e)
         g.calls = 0
         report = apply_update(g, d, index, "delete", *e)
-        # one call takes the dying butterflies; the fixpoint evaluates each
-        # of their edges and the changed ones, and enumerates them again on
-        # a drop; the scan for dropped minima makes one call per changed edge
+        # one call takes the dying butterflies; the fixpoint enumerates once
+        # per evaluation, of their edges and the changed ones; the scan for
+        # dropped minima makes one call per changed edge
         touched = set(butterfly_edges(dying)) | set(report.changed)
-        bound = 1 + 2 * len(touched) + len(report.changed)
+        bound = 1 + len(touched) + len(report.changed)
         assert len(report.changed) <= 3 and g.num_edges > 20 * bound
         assert g.calls <= bound
         assert_matches_scratch(g, d, index)

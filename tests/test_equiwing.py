@@ -2,7 +2,6 @@ import pytest
 
 import oracles
 from wingsearch import (
-    BipartiteGraph,
     QueryCounters,
     baseline_search,
     build_equiwing,
@@ -19,15 +18,9 @@ from conftest import (
     FIG2_CLASSES,
     FIG2_SUPER_EDGES,
     blocks_sharing_a_vertex,
+    build,
     random_bipartite_edges,
 )
-
-
-def build(edges):
-    g = BipartiteGraph()
-    for u, v in edges:
-        g.insert_edge(u, v)
-    return g
 
 
 def built_index(edges):

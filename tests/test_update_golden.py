@@ -23,13 +23,25 @@ update paths of two checkouts, run
     python tests/test_update_golden.py --digest > digest.txt
 
 in each and `diff` the outputs. The script imports the `src/` beside it, so
-copy it into a checkout that lacks the mode.
+copy it, with `conftest.py`, into a checkout that lacks the mode.
+
+With `--reference` it runs the differential where classes have thousands
+of members: four seeded updates, each on a fresh build of the 52,587-edge
+criterion-9 graph. It prints one line per update: |changed|,
+|affected_edges|, the update's seconds, their ratio to the seconds of the
+build it ran on (peel, build and compress), and the first 16 hex digits of
+the sha256 of the report lines, the sorted `changed` map and both index
+files. Compare the hashes of two checkouts; the seconds depend on the
+machine. It takes a few minutes.
 """
 
 import hashlib
 import os
 import random
 import sys
+import time
+
+from conftest import build
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "update-session.txt")
@@ -43,16 +55,13 @@ def session(edges, seed, steps):
     """Alternate seeded random inserts and deletes on the graph of `edges`,
     yielding (step, report, decomp, index, comp) after each update."""
     from wingsearch import (
-        BipartiteGraph,
         apply_update_comp,
         build_equiwing,
         compress,
         wing_decomposition,
     )
 
-    g = BipartiteGraph()
-    for u, v in edges:
-        g.insert_edge(u, v)
+    g = build(edges)
     d = wing_decomposition(g)
     index = build_equiwing(g, d)
     comp = compress(index)
@@ -129,6 +138,53 @@ def digest():
             yield " ".join([name, str(i)] + [_sha(t)[:16] for t in texts])
 
 
+# a delete of a level-4 edge, a delete of a random edge and two random
+# inserts, drawn with random.Random(5)
+REFERENCE_OPS = [
+    ("delete", "a1825", "b552"),
+    ("delete", "a864", "b1494"),
+    ("insert", "a1659", "b664"),
+    ("insert", "a471", "b936"),
+]
+
+
+def reference():
+    """Yield one line per update of REFERENCE_OPS, each run on a fresh
+    build of the criterion-9 graph."""
+    from wingsearch import (
+        apply_update_comp,
+        build_equiwing,
+        compress,
+        generate_bipartite,
+        serialize,
+        wing_decomposition,
+    )
+
+    edges = generate_bipartite(
+        2000, 2000, 0.0125, seed=91, blocks=((30, 30, 0.9),) * 3
+    )
+    for kind, u, v in REFERENCE_OPS:
+        g = build(edges)
+        t0 = time.perf_counter()
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        comp = compress(index)
+        t1 = time.perf_counter()
+        report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
+        t2 = time.perf_counter()
+        text = "\n".join(report.lines() + [
+            repr(sorted(report.changed.items())),
+            serialize(index),
+            serialize(comp),
+        ])
+        yield (
+            f"{kind} {u} {v} changed {len(report.changed)} "
+            f"affected_edges {len(report.affected_edges)} "
+            f"update_s {t2 - t1:.2f} rebuild_s {t1 - t0:.2f} "
+            f"ratio {(t2 - t1) / (t1 - t0):.2f} sha {_sha(text)[:16]}"
+        )
+
+
 def test_session_matches_golden():
     with open(GOLDEN, encoding="utf-8", newline="") as fh:
         want = fh.read()
@@ -144,8 +200,9 @@ def test_session_absorbs_several_classes_at_once():
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
-    if sys.argv[1:] == ["--digest"]:
-        for line in digest():
+    if sys.argv[1:] in (["--digest"], ["--reference"]):
+        lines = digest() if sys.argv[1] == "--digest" else reference()
+        for line in lines:
             print(line, flush=True)
     else:
         with open(GOLDEN, "w", encoding="utf-8", newline="") as fh:
