@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success (an empty result is a success), 2 unreadable or
-malformed files and bad invocations, 3 semantic errors (unknown vertex or
-edge, invalid mutation), 4 internal consistency failures. Timing and other
+malformed files, 3 bad requests (unknown vertex or edge, invalid mutation,
+malformed flags), 4 internal consistency failures. Timing and other
 non-deterministic output goes on lines starting with "# " so golden-file
 comparisons can strip them; everything else is deterministic for fixed
 inputs and seed.
@@ -427,7 +427,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help or its message
+        return 0 if exc.code == 0 else 3
     try:
         return args.func(args)
     except (GraphFormatError, IndexFormatError) as exc:

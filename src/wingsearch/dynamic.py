@@ -9,6 +9,12 @@ all have wing number >= k. Consequences used here:
   single edge gains and l is the h-index, over the new butterflies, of the
   minimum old wing number of the three existing edges. A higher value for
   any edge would certify a wing that must already have existed.
+* insert rise: no other edge rises by more than delta. The new k-bitruss
+  less e' is a subgraph of the old graph in which every edge keeps at least
+  k - delta butterflies, so it lies in the old (k - delta)-bitruss.
+* insert reach: the edges that rise past t are butterfly-connected to e'
+  through each other within the new t-bitruss. A part that did not reach e'
+  would, with the old t-bitruss, be a t-bitruss of the old graph.
 * delete cap: only edges with old wing number <= w(e') can change.
 * exact recomputation: repeatedly lower values to the h-index of the
   edge's butterflies' minima; from any start at or above the true new wing
@@ -18,11 +24,14 @@ Both kinds share one path and one order: take the butterflies through e'
 (those it closes, or the dying ones), apply e', then find the scope on the
 graph it leaves. One count, how many of those butterflies each other edge
 lies in, gives delta, the support patch and an insert's start values. An
-insert starts at e' alone; the walk takes in each edge below its bound when
-it first reads it, at the lesser of the bound and its new support. A delete
+insert starts at e' alone. It takes in an edge g only when an evaluation
+of a butterfly neighbour f leaves f, and g's cap, above both old values:
+the cap is the least of the bound, g's new support and w(g) + delta. By
+the two insert facts these are the only edges that can rise. A delete
 starts at the old values, which hold but on the dying butterflies: it seeds
 their edges and takes in another edge only when a neighbour's drop crosses
-its value.
+its value. Either walk enumerates each edge's butterflies once and counts
+their minima without a sort.
 The scope's classes are those of e' and of the changed edges, the classes a
 created or dying butterfly chains, and on a delete the classes at the old
 minimum of each butterfly whose minimum drops: only there can a delete
@@ -37,7 +46,8 @@ scope. A structural validation pass runs after every update; on any
 violation the index is rebuilt from scratch and the report says so.
 """
 
-from collections import deque
+from collections import Counter, deque
+from itertools import repeat
 
 from .compress import compress
 from .equiwing import add_bloom, build_equiwing, form_classes, rebuild_edge_counts
@@ -75,7 +85,10 @@ class UpdateReport:
     surgery, holding the scope: the edges and classes that may be re-formed
     and `changed`, edge -> (old, new) wing number. `apply_update` widens
     the same report with the surviving classes its surgery absorbs.
-    `upper_bound` is the insert bound, or the deleted edge's wing number."""
+    `upper_bound` is the insert bound, or the deleted edge's wing number.
+    `counters` holds the walk's work: `evaluations`, `taken_in` (edges the
+    walk took in beyond its start) and `butterflies_scanned` (butterflies
+    read, summed over evaluations). No payload line prints them."""
 
     def __init__(self, kind, edge, upper_bound, delta):
         self.kind = kind
@@ -88,6 +101,7 @@ class UpdateReport:
         self.new_node_ids = []
         self.events = []
         self.fell_back = False
+        self.counters = {}
 
     def lines(self, number=1):
         """The CLI's payload lines for this update as mutation `number`."""
@@ -108,45 +122,136 @@ class UpdateReport:
         return out
 
 
-def _fixpoint(graph, wn, up, start=None):
+def _others(butterflies, f, intern):
+    """One flat list of the other three edges of each butterfly through f,
+    every edge tuple taken from `intern`, so each edge is one object."""
+    u, v = f
+    out = []
+    add = out.append
+    get = intern.setdefault
+    for a1, a2, b1, b2 in butterflies:
+        u2 = a2 if a1 == u else a1
+        v2 = b2 if b1 == v else b1
+        for g in ((u, v2), (u2, v), (u2, v2)):
+            add(get(g, g))
+    return out
+
+
+class _Values(dict):
+    """The value each edge counts at in a walk: its walk value, or for an
+    edge outside the walk `outside(edge)`, filled in when first read."""
+
+    def __init__(self, outside):
+        super().__init__()
+        self.outside = outside
+
+    def __missing__(self, g):
+        v = self[g] = self.outside(g)
+        return v
+
+
+def _fixpoint(graph, wn, up, cap=None, known=()):
     """Lower `up` values to the greatest fixpoint of the locality operator
-    below their start; an edge outside `up` counts at its old value w. An
-    insert's `start(g)`, when not None, takes g in at that value the first
-    time an evaluation reads it; an edge it leaves out sits at or above the
-    bound and cannot move. Only a delete (no `start`) takes an edge outside
-    `up` in, at w, when a drop crosses w. A drop from `old` to `val` queues
-    each butterfly neighbour whose value v has val < v <= old: only such a
-    drop costs it a butterfly whose minimum reaches v. No floor is needed:
-    the iterates never fall below the true new values, on an insert at
-    least the old."""
+    below their start. Returns the memo, edge -> its flat list of `_others`,
+    and the walk's work counters. Each edge's butterflies are enumerated
+    once per walk, or taken from `known` (edge, butterflies) pairs, and kept
+    in the memo. An evaluation of f from `old` counts the minima of its
+    butterflies capped at old, with no sort, and gives val = min(old,
+    h-index). A drop from old to val queues each butterfly neighbour in the
+    walk whose value v has val < v <= old: only such a drop costs it a
+    butterfly whose minimum reaches v. No floor is needed: the iterates
+    never fall below the true new values.
+
+    On a delete (no `cap`) an edge outside the walk counts at its old value
+    w, and is taken in at w when a drop crosses it: val < w <= old.
+
+    An insert of e passes `cap(g)`, a sound cap on g's new value: the least
+    of the bound, g's new support and w(g) + delta; w(e) = 0. The rule for
+    an edge g outside the walk, read while f is evaluated from `old`: it
+    counts at cap(g) if max(w(f), w(g)) < min(old, cap(g)), and at w(g)
+    otherwise. Once the evaluation gives val, g is taken in at cap(g) if
+    max(w(f), w(g)) < min(val, cap(g)). An edge whose value is back at w
+    is not evaluated: it can fall no lower. Two facts make this exact:
+
+    (a) w'(g) <= w(g) + delta for g != e. The new k-bitruss less e is a
+        subgraph of the old graph in which every edge keeps at least
+        k - delta butterflies, so it lies in the old (k - delta)-bitruss.
+    (b) If g rises past t, the edges new to the t-bitruss are butterfly
+        connected to e through each other within it: a part that did not
+        reach e would, with the old t-bitruss, be a t-bitruss of the old
+        graph. So g has a partner f, e itself or an edge that also rises
+        past t, with max(w(f), w(g)) < t <= min(val(f), cap(g)) at every
+        evaluation of f, since each val(f) is at least w'(f). By induction
+        from e, every edge that rises is taken in.
+
+    A neighbour that the rule leaves out may count at w(g), and val stays
+    at least w'(f). Either w(g) >= old, and every value at or above old
+    counts the same under the cap at old; or cap(g) <= max(w(f), w(g)), so
+    g cannot rise past w(f), and f never falls below w(f), which its old
+    butterflies certify. For the same two reasons, counting every outside
+    g at max(w(g), cap(g)) gives the same val as the rule. The walk does
+    that, so the value an edge counts at does not depend on who reads it."""
+    intern = {}
+    memo = {f: _others(bs, f, intern) for f, bs in known}
+    risers = {}  # an outside edge whose cap exceeds w -> w
+
+    def outside(g):
+        w = wn.get(g, 0)
+        if cap:
+            c = cap(g)
+            if c > w:
+                risers[g] = w
+                return c
+        return w
+
+    value = _Values(outside)
+    value.update(up)
+    get = value.__getitem__
     work = deque(sorted(up))
     inwork = set(work)
+    evaluations = scanned = 0
+    seeded = len(up)
     while work:
         f = work.popleft()
         inwork.discard(f)
-        others = [[g for g in butterfly_edges(b) if g != f]
-                  for b in graph.butterflies_of_edge(*f)]
-        for gs in others if start else ():
-            for g in gs:
-                if g not in up:
-                    s = start(g)
-                    if s is not None:
-                        up[g] = s
-                        inwork.add(g)
-                        work.append(g)
         old = up[f]
-        val = _h_index(min(up.get(g, wn.get(g, 0)) for g in gs)
-                       for gs in others)
+        wf = wn.get(f, 0)
+        if cap and old <= wf:
+            continue
+        others = memo.get(f)
+        if others is None:
+            others = memo[f] = _others(graph.butterflies_of_edge(*f), f,
+                                       intern)
+        evaluations += 1
+        scanned += len(others) // 3
+        top = min(old, len(others) // 3)
+        it = map(get, others)
+        counts = Counter(map(min, it, it, it, repeat(top)))
+        val, seen = top, counts[top]  # the largest t with t minima >= t
+        while seen < val:
+            val -= 1
+            seen += counts[val]
+        if risers and val > wf:
+            for g in filter(risers.__contains__, others):
+                if risers[g] < val and value[g] > wf:
+                    del risers[g]
+                    up[g] = value[g]
+                    inwork.add(g)
+                    work.append(g)
         if val < old:
-            up[f] = val
-            for gs in others:
-                for g in gs:
-                    v = up.get(g, wn.get(g, 0))
-                    if (val < v <= old and g not in inwork
-                            and (g in up or start is None)):
-                        up[g] = v
-                        inwork.add(g)
-                        work.append(g)
+            up[f] = value[f] = val
+            for g in others:
+                v = value[g]
+                if (val < v <= old and g not in inwork
+                        and (g in up or not cap)):
+                    up[g] = v
+                    inwork.add(g)
+                    work.append(g)
+    return memo, {
+        "evaluations": evaluations,
+        "taken_in": len(up) - seeded,
+        "butterflies_scanned": scanned,
+    }
 
 
 def _start(graph, wn, kind, u, v):
@@ -199,27 +304,31 @@ def _scope(graph, decomp, index, report, through, gain):
 
     if report.kind == "insert":
         up = {e: min(p, len(through))}
+        delta = report.delta
 
-        def start(y):  # an edge below the bound may rise, up to its support
-            if wn.get(y, 0) < p:
-                return min(p, decomp.support[y] + gain.get(y, 0))
-            return None
+        known = [(e, through)]  # the butterflies e closes
+
+        def cap(g):  # the bound, g's new support and fact (a)
+            return min(p, decomp.support[g] + gain.get(g, 0),
+                       wn.get(g, 0) + delta)
     else:
         # the old values hold everywhere but on the dying butterflies
         up = {y: wn[y] for b in through for y in butterfly_edges(b)
               if y != e and 1 <= wn.get(y, 0) <= p}
-        start = None
-    _fixpoint(graph, wn, up, start)
+        cap, known = None, ()
+    memo, report.counters = _fixpoint(graph, wn, up, cap, known)
 
     changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
     seeds.update(index.per_edge_node.get(f) for f in changed)
     if report.kind == "delete":
         # a butterfly whose minimum drops may split the class of each edge
         # at its old minimum (the dying ones are seeded above); an insert
-        # lowers nothing
+        # lowers nothing. Every changed edge was evaluated, so the memo
+        # holds its butterflies.
         for f in changed:
-            for b in graph.butterflies_of_edge(*f):
-                es = butterfly_edges(b)
+            others = memo[f]
+            for i in range(0, len(others), 3):
+                es = (f, *others[i:i + 3])
                 low = min(wn.get(x, 0) for x in es)
                 if min(up.get(x, wn.get(x, 0)) for x in es) < low:
                     seeds.update(

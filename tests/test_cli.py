@@ -501,6 +501,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["query", "--index", "x.ew", "-q", "v5", "-k", "abc"],
+         "invalid int value"),
+        (["query", "--index", "x.ew", "-q", "v5"], "-k"),
+        (["frobnicate"], "invalid choice"),
+    ])
+    def test_malformed_flags_are_bad_requests(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and message in err and out == ""
+
+    def test_help_succeeds(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and "usage:" in out
+
 
 class TestRepeatedCompUpdate:
     """Successive `update` calls on one comp file: every rewrite must stay

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -74,15 +75,36 @@ class CountingGraph(BipartiteGraph):
         return super().butterflies_of_edge(u, v)
 
 
+class RecordingGraph(BipartiteGraph):
+    """Records the edge of every `butterflies_of_edge` call in `read`."""
+
+    def __init__(self, edges=()):
+        super().__init__()
+        self.read = []
+        for u, v in edges:
+            self.insert_edge(u, v)
+
+    def butterflies_of_edge(self, u, v):
+        self.read.append((u, v))
+        return super().butterflies_of_edge(u, v)
+
+
+def chain_edges(n):
+    """Square i on {a_i, a_i+1} x {b_i, b_i+1}, for i < n."""
+    edges = []
+    for i in range(n):
+        a, a1, b, b1 = f"a{i:03}", f"a{i + 1:03}", f"b{i:03}", f"b{i + 1:03}"
+        edges += [(a, b), (a, b1), (a1, b), (a1, b1)]
+    return edges
+
+
 def square_chain(n=200):
     """A chain of n butterflies, square i on {a_i, a_i+1} x {b_i, b_i+1}:
     one level-1 block, every edge butterfly-connected to every other at
     level 1. Returns its state with the call count at 0."""
     g = CountingGraph()
-    for i in range(n):
-        a, a1, b, b1 = f"a{i:03}", f"a{i + 1:03}", f"b{i:03}", f"b{i + 1:03}"
-        for u, v in ((a, b), (a, b1), (a1, b), (a1, b1)):
-            g.insert_edge(u, v)
+    for u, v in chain_edges(n):
+        g.insert_edge(u, v)
     d = wing_decomposition(g)
     index = build_equiwing(g, d)
     assert set(d.wing_number.values()) == {1} and len(index.nodes) == 1
@@ -275,6 +297,67 @@ class TestApplyInsert:
         )
         assert report.upper_bound == 3
         assert g.calls <= g.num_edges + 10
+        assert_matches_scratch(g, d, index)
+
+    def test_block_does_not_pull_in_the_fringe(self):
+        """K_{5,6} less (x4, y5), with a level-1 square chain attached to
+        the block edge (x0, y0) by the butterfly {x0, a000} x {y0, b000}.
+        Re-inserting (x4, y5) lifts the whole block from 15 and 16 to 20.
+        A chain edge sits at level 1 with a cap of at most its support,
+        below the level of any block edge it shares a butterfly with, so
+        the walk takes none in."""
+        block = [(f"x{i}", f"y{j}") for i in range(5) for j in range(6)]
+        g = RecordingGraph(
+            [f for f in block if f != ("x4", "y5")]
+            + chain_edges(30) + [("x0", "b000"), ("a000", "y0")]
+        )
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        assert d.wing_number[("x0", "y0")] == 16
+        assert d.wing_number[("a000", "b000")] == 1
+        report = apply_update(g, d, index, "insert", "x4", "y5")
+        assert set(report.changed) == set(block)
+        assert {x for f in g.read for x in f} <= {x for f in block for x in f}
+        assert_matches_scratch(g, d, index)
+
+    def test_rises_within_delta_and_each_edge_is_read_once(self, rng):
+        """No existing edge rises by more than delta, the premise of every
+        candidate's cap, and an update enumerates the butterflies of each
+        edge at most once: on random 8x8 graphs, and on block inserts into
+        TestMidScale's 1,702-edge graph."""
+
+        def check(g, d, index, u, v):
+            old = dict(d.wing_number)
+            g.read.clear()
+            report = apply_update(g, d, index, "insert", u, v)
+            assert max(Counter(g.read).values()) == 1
+            assert len(g.read) <= report.counters["evaluations"] + 1
+            for f, new in wing_decomposition(g).wing_number.items():
+                if f != (u, v):
+                    assert new <= old[f] + report.delta, (f, old[f], new)
+
+        for _ in range(20):
+            edges = random_bipartite_edges(rng, 8, 8, 0.3)
+            g = RecordingGraph(edges)
+            absent = [(f"a{i}", f"b{j}") for i in range(8) for j in range(8)
+                      if not g.has_edge(f"a{i}", f"b{j}")]
+            d = wing_decomposition(g)
+            check(g, d, build_equiwing(g, d), *rng.choice(absent))
+
+        g = RecordingGraph(
+            generate_bipartite(200, 200, 0.035, 91, [(12, 12, 0.9)] * 2)
+        )
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        r = random.Random(17)
+        for _ in range(6):
+            largest = max(index.nodes.values(), key=lambda n: len(n.members))
+            us = sorted({a for a, _ in largest.members})
+            vs = sorted({b for _, b in largest.members})
+            u, v = r.choice(us), r.choice(vs)
+            while g.has_edge(u, v):
+                u, v = r.choice(us), r.choice(vs)
+            check(g, d, index, u, v)
         assert_matches_scratch(g, d, index)
 
 
