@@ -186,12 +186,19 @@ def cmd_build(args):
     graph = _load_graph(args.graph)
     t0 = time.perf_counter()
     decomp = wing_decomposition(graph)
+    t1 = time.perf_counter()
     index = build_equiwing(graph, decomp)
+    t2 = time.perf_counter()
     if args.comp:
         index = compress(index)
+    t3 = time.perf_counter()
     text = serialize(index)
     dt = time.perf_counter() - t0
     atomic_write_text(args.out, text)
+    print(f"# decompose time {t1 - t0:.6f}s")
+    print(f"# index time {t2 - t1:.6f}s")
+    if args.comp:
+        print(f"# compress time {t3 - t2:.6f}s")
     print(f"# build time {dt:.6f}s")
     print(f"format {'equiwing-comp' if args.comp else 'equiwing'}")
     print(f"super_nodes {len(index.nodes)}")

@@ -15,15 +15,28 @@ each of its blooms; the butterflies it leaves are the twin edge `(u2, x)`
 paired with each remaining wedge, so no neighbour set is ever intersected.
 Both result dicts are keyed by the tuples of that one sorted list, so every
 later layer holds each edge as one tuple, created up front in sorted order.
+
+The same pass keeps an immutable record of the blooms for the index build
+(`bloom_runs`): each bloom as one flat run of wedge ids a0, b0, a1, b1, ...,
+where a_i is the id of (u1, x_i) and b_i that of (u2, x_i) for its common
+neighbours x_i. So a from-scratch rebuild enumerates the blooms once.
 """
+
+from array import array
 
 
 class WingDecomposition:
-    """Result of peeling: per-edge wing numbers plus the initial supports."""
+    """Result of peeling: per-edge wing numbers plus the initial supports.
 
-    def __init__(self, wing_number, support):
+    `bloom_runs` is the peeled graph's bloom record, (wedges, ends): two
+    `array('i')`s, bloom i being the flat run `wedges[ends[i-1]:ends[i]]`
+    of wedge ids, which are positions in `list(wing_number)`. It holds only
+    while the graph is the one peeled: `apply_update` drops it (None)."""
+
+    def __init__(self, wing_number, support, bloom_runs=None):
         self.wing_number = wing_number
         self.support = support
+        self.bloom_runs = bloom_runs
 
     @property
     def k_max(self):
@@ -40,6 +53,7 @@ def wing_decomposition(graph):
     # len(common) - 1 of its butterflies
     support = [0] * len(edges)
     blooms_of = [[] for _ in edges]
+    wedges, ends = array("i"), array("i")
     for u1, u2, common in graph.blooms():
         c = len(common) - 1
         bloom = []
@@ -51,6 +65,8 @@ def wing_decomposition(graph):
             blooms_of[a].append(bloom)
             blooms_of[b].append(bloom)
             bloom += (a, b)
+        wedges.extend(bloom)
+        ends.append(len(wedges))
     del eid
 
     cur = list(support)
@@ -86,4 +102,5 @@ def wing_decomposition(graph):
                         buckets[s - 1].append(o)
             blooms_of[e] = None  # free what the peel is done with as it goes
         buckets[k] = None
-    return WingDecomposition(dict(zip(edges, cur)), dict(zip(edges, support)))
+    return WingDecomposition(dict(zip(edges, cur)), dict(zip(edges, support)),
+                             (wedges, ends))

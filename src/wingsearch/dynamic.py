@@ -46,8 +46,9 @@ scope. A structural validation pass runs after every update; on any
 violation the index is rebuilt from scratch and the report says so.
 """
 
-from collections import Counter, deque
-from itertools import repeat
+from collections import Counter, defaultdict, deque
+from itertools import compress as where, repeat
+from operator import and_, eq, gt
 
 from .compress import compress
 from .equiwing import add_bloom, build_equiwing, form_classes, rebuild_edge_counts
@@ -56,7 +57,7 @@ from .errors import (
     InvalidArgumentError,
     UnknownEdgeError,
 )
-from .graph import butterfly_edges
+from .graph import BipartiteGraph, butterfly_edges
 
 
 def _h_index(values):
@@ -153,9 +154,10 @@ class _Values(dict):
 def _fixpoint(graph, wn, up, cap=None, known=()):
     """Lower `up` values to the greatest fixpoint of the locality operator
     below their start. Returns the memo, edge -> its flat list of `_others`,
-    and the walk's work counters. Each edge's butterflies are enumerated
-    once per walk, or taken from `known` (edge, butterflies) pairs, and kept
-    in the memo. An evaluation of f from `old` counts the minima of its
+    the values, edge -> the value it counts at (the walk's for an edge in
+    `up`), and the walk's work counters. Each edge's butterflies are
+    enumerated once per walk, or taken from `known` (edge, butterflies)
+    pairs, and kept in the memo. An evaluation of f from `old` counts the minima of its
     butterflies capped at old, with no sort, and gives val = min(old,
     h-index). A drop from old to val queues each butterfly neighbour in the
     walk whose value v has val < v <= old: only such a drop costs it a
@@ -247,7 +249,7 @@ def _fixpoint(graph, wn, up, cap=None, known=()):
                     up[g] = v
                     inwork.add(g)
                     work.append(g)
-    return memo, {
+    return memo, value, {
         "evaluations": evaluations,
         "taken_in": len(up) - seeded,
         "butterflies_scanned": scanned,
@@ -316,7 +318,7 @@ def _scope(graph, decomp, index, report, through, gain):
         up = {y: wn[y] for b in through for y in butterfly_edges(b)
               if y != e and 1 <= wn.get(y, 0) <= p}
         cap, known = None, ()
-    memo, report.counters = _fixpoint(graph, wn, up, cap, known)
+    memo, value, report.counters = _fixpoint(graph, wn, up, cap, known)
 
     changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
     seeds.update(index.per_edge_node.get(f) for f in changed)
@@ -324,17 +326,18 @@ def _scope(graph, decomp, index, report, through, gain):
         # a butterfly whose minimum drops may split the class of each edge
         # at its old minimum (the dying ones are seeded above); an insert
         # lowers nothing. Every changed edge was evaluated, so the memo
-        # holds its butterflies.
+        # holds its butterflies and the values their edges' new values. f's
+        # own class is seeded above; the scan runs column by column in C
+        old_of, new_of = wn.__getitem__, value.__getitem__
         for f in changed:
             others = memo[f]
-            for i in range(0, len(others), 3):
-                es = (f, *others[i:i + 3])
-                low = min(wn.get(x, 0) for x in es)
-                if min(up.get(x, wn.get(x, 0)) for x in es) < low:
-                    seeds.update(
-                        index.per_edge_node.get(x)
-                        for x in es if wn.get(x, 0) == low
-                    )
+            it, nt = map(old_of, others), map(new_of, others)
+            lows = list(map(min, it, it, it, repeat(wn[f])))
+            drops = list(map(gt, lows, map(min, nt, nt, nt, repeat(up[f]))))
+            for j in range(3):
+                col = others[j::3]
+                at_low = map(and_, drops, map(eq, map(old_of, col), lows))
+                seeds.update(map(index.per_edge_node.get, where(col, at_low)))
     seeds.discard(None)
     affected = changed | {e}
     for sid in seeds:
@@ -350,12 +353,17 @@ def _scope(graph, decomp, index, report, through, gain):
 
 def affected_edges(graph, decomp, index, kind, u, v):
     """The update's report before any surgery: bound, delta, the scope and
-    `changed`. Mutates nothing: the update is evaluated on a copy of the
-    graph with the edge applied."""
+    `changed`. Mutates nothing: the update is evaluated on a graph with the
+    edge applied that shares every vertex's neighbour set but those of its
+    two ends, which it copies."""
     report, through, gain = _start(graph, decomp.wing_number, kind, u, v)
-    graph = graph.copy()
-    (graph.insert_edge if kind == "insert" else graph.delete_edge)(u, v)
-    _scope(graph, decomp, index, report, through, gain)
+    applied = BipartiteGraph()
+    applied.adj_u, applied.adj_v = dict(graph.adj_u), dict(graph.adj_v)
+    for adj, x in ((applied.adj_u, u), (applied.adj_v, v)):
+        if x in adj:
+            adj[x] = set(adj[x])
+    (applied.insert_edge if kind == "insert" else applied.delete_edge)(u, v)
+    _scope(applied, decomp, index, report, through, gain)
     return report
 
 
@@ -375,6 +383,15 @@ def _blooms_meeting(graph, edges):
         yield u1, u2, adj_u.get(u1, none) & adj_u.get(u2, none)
 
 
+def _wedge_run(u1, u2, common):
+    """The bloom of u1 < u2 over `common` as a flat run of wedge tuples, as
+    `form_classes` and `add_bloom` take it."""
+    run = []
+    for x in common:
+        run += (u1, x), (u2, x)
+    return run
+
+
 def _reclassify(index, graph, wn, report):
     """Remove the scope's classes and re-form its edges of level >= 1 with
     the build's union pass, over the blooms that meet them. A surviving
@@ -386,8 +403,9 @@ def _reclassify(index, graph, wn, report):
     for sid in report.affected_nodes:
         index.remove_node(sid)
     pool = {f for f in report.affected_edges if wn.get(f, 0) >= 1}
-    blooms = (b for b in _blooms_meeting(graph, pool) if len(b[2]) >= 2)
-    for nid, absorbed in form_classes(index, blooms, wn, pool):
+    runs = (_wedge_run(*b) for b in _blooms_meeting(graph, pool)
+            if len(b[2]) >= 2)
+    for nid, absorbed in form_classes(index, runs, wn, pool):
         for node in absorbed:
             report.affected_nodes.add(node.sn_id)
             report.affected_edges.update(node.members)
@@ -412,13 +430,17 @@ def _patch_counts(graph, index, report, wn, wn_old, class_old):
     regain = set()
     if report.kind == "delete":
         regain = {(u, w) if u < w else (w, u) for w in adj_v.get(v, ())}
+    class_new = defaultdict(int, index.per_edge_node)
     delta = {}
     for u1, u2, common in _blooms_meeting(graph, report.affected_edges):
-        old = common | {v} if (u1, u2) in regain else common
-        if len(old) < 2:
+        regained = (u1, u2) in regain
+        if len(common) + regained < 2:
             continue
-        add_bloom(delta, u1, u2, common, wn, index.per_edge_node, 1)
-        add_bloom(delta, u1, u2, old, wn_old, class_old, -1)
+        run = _wedge_run(u1, u2, common)
+        add_bloom(delta, run, wn, class_new, 1)
+        if regained:
+            run += (u1, v), (u2, v)
+        add_bloom(delta, run, wn_old, class_old, -1)
 
     counts = index.edge_counts
     for pair in sorted(delta):
@@ -437,7 +459,8 @@ def _patch_counts(graph, index, report, wn, wn_old, class_old):
 
 def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
-    index in place. Returns the UpdateReport that `affected_edges` would
+    index in place; the decomposition's bloom record, which no longer
+    holds, is dropped. Returns the UpdateReport that `affected_edges` would
     give, widened by the surgery."""
     wn = decomp.wing_number
     report, through, gain = _start(graph, wn, kind, u, v)
@@ -445,9 +468,11 @@ def apply_update(graph, decomp, index, kind, u, v):
     insert = kind == "insert"
     if index.edge_counts is None:
         rebuild_edge_counts(index, graph, wn)
-    wn_old = dict(wn)
-    class_old = dict(index.per_edge_node)
+    # an inserted e reads level 0 and no class on the old side
+    wn_old = defaultdict(int, wn)
+    class_old = defaultdict(int, index.per_edge_node)
 
+    decomp.bloom_runs = None  # the record holds only for the peeled graph
     (graph.insert_edge if insert else graph.delete_edge)(u, v)
     _scope(graph, decomp, index, report, through, gain)
 

@@ -11,6 +11,13 @@ edge of D and all four of its edges have wing number >= level(A), where
 level(A) < level(D). Construction assigns node ids level-ascending, ordering
 classes within a level by their smallest member edge.
 
+Both build passes work per bloom, a left-vertex pair u1 < u2 with its
+common neighbours x_i, taken as one flat run of wedge keys a0, b0, a1, b1,
+..., where a_i = (u1, x_i) and b_i = (u2, x_i). The build reads the runs of
+integer edge ids that the peel recorded (`WingDecomposition.bloom_runs`);
+updates pass runs of edge tuples to the same two kernels, `form_classes`
+and `add_bloom`.
+
 The index is label-based and self-sufficient: queries need only the index.
 Compression (see compress.py) yields the same structure plus a merge log;
 a compressed index is an EquiWingIndex whose `merge_log` is not None, queried
@@ -20,6 +27,8 @@ other parsing.
 """
 
 import hashlib
+from array import array
+from itertools import chain
 
 from .decomposition import wing_decomposition
 from .errors import IndexFormatError, InternalConsistencyError
@@ -207,27 +216,31 @@ def find_root(parent, x):
     return root
 
 
-def form_classes(index, blooms, wn, pool):
-    """Add to `index` the classes that the union pass over `blooms` forms
-    from the `pool` edges. Each class of `index` is one union-find element,
-    its id, so one chained to the pool joins whole and its members are
-    never walked; surviving classes the pass chains to each other, with no
-    pool edge, merge into one new class. Returns (id, absorbed nodes) per
-    new class, in id order: by level, then smallest pooled edge, or for a
-    merge of surviving classes alone their smallest member."""
+def form_classes(index, runs, level, pool, edges=None):
+    """Add to `index` the classes that the union pass over the blooms in
+    `runs` forms from the `pool` keys. Each bloom is one flat run of wedge
+    keys a0, b0, a1, b1, ..., where a_i = (u1, x_i) and b_i = (u2, x_i)
+    for its common neighbours x_i, and `level[key]` is the key's wing
+    number. A key is an edge tuple or, given `edges`, a position in that
+    sorted list; then `index` must hold no class. Each class of `index` is
+    one union-find element, its id, so one chained to the pool joins whole
+    and its members are never walked; surviving classes the pass chains to
+    each other, with no pool edge, merge into one new class. Returns (id,
+    absorbed nodes) per new class, in id order: by level, then smallest
+    pooled edge, or for a merge of surviving classes alone their smallest
+    member."""
     class_of, nodes = index.per_edge_node, index.nodes
     parent = {e: e for e in pool}
-    level = wn.get
     # a butterfly unions its min-level edges. In a bloom, the butterfly
     # {x, y} has minimum min(w_x, w_y), where w_x is the lower level of x's
     # two edges, so the level-m edges of every x with w_x = m fall in one
     # class, unless x is alone at the bloom's top level: then each of its
     # butterflies has its minimum on the other vertex
-    for u1, u2, common in blooms:
+    for run in runs:
         at = {}  # w_x -> the level-w_x edges of each such x
-        for x in common:
-            e1, e2 = (u1, x), (u2, x)
-            w1, w2 = level(e1, 0), level(e2, 0)
+        it = iter(run)
+        for e1, e2 in zip(it, it):
+            w1, w2 = level[e1], level[e2]
             if w1 < w2:
                 m, es = w1, (e1,)
             elif w2 < w1:
@@ -257,8 +270,9 @@ def form_classes(index, blooms, wn, pool):
             joined.setdefault(find_root(parent, x), []).append(x)
         else:
             groups.setdefault(find_root(parent, x), []).append(x)
+    del parent  # the forest is done with before the nodes are made
 
-    keys = {root: (wn[g[0]], min(g)) for root, g in groups.items()}
+    keys = {root: (level[g[0]], min(g)) for root, g in groups.items()}
     for root, ids in joined.items():
         if root not in keys and len(ids) >= 2:
             members = (nodes[s].members for s in ids)
@@ -266,40 +280,71 @@ def form_classes(index, blooms, wn, pool):
     formed = []
     for root in sorted(keys, key=keys.get):
         absorbed = [index.remove_node(s) for s in sorted(joined.get(root, ()))]
-        members = groups.get(root, []) + [
-            e for node in absorbed for e in node.members
-        ]
+        members = groups.get(root, [])
+        if edges is not None:
+            members = map(edges.__getitem__, members)
+        members = [*members, *(e for node in absorbed for e in node.members)]
         node = SuperNode(index.alloc_id(), keys[root][0], members)
         index.add_node(node)
         formed.append((node.sn_id, absorbed))
     return formed
 
 
-def build_equiwing(graph, decomp=None):
-    decomp = decomp if decomp is not None else wing_decomposition(graph)
-    wn = decomp.wing_number
-    index = EquiWingIndex()
-    form_classes(index, graph.blooms(), wn, [e for e, w in wn.items() if w >= 1])
-    index.refresh_k_max()
+def _by_id(graph, wn, record=None):
+    """(edges, levels, record): the edges in id order, their wing numbers
+    and the bloom record as `WingDecomposition.bloom_runs` holds it. Given
+    no record, the ids are positions in the graph's sorted edges and the
+    blooms are enumerated here, once."""
+    if record is not None:
+        return list(wn), list(wn.values()), record
+    edges = graph.sorted_edges()
+    eid = {e: i for i, e in enumerate(edges)}
+    wedges, ends = array("i"), array("i")
+    for u1, u2, common in graph.blooms():
+        for x in common:
+            wedges.append(eid[(u1, x)])
+            wedges.append(eid[(u2, x)])
+        ends.append(len(wedges))
+    return edges, [wn.get(e, 0) for e in edges], (wedges, ends)
 
-    # count pass: super edges with justification counts
-    index.edge_counts = _edge_counts(graph, wn, index.per_edge_node)
+
+def _runs(wedges, ends):
+    """Each bloom of a record as its flat run of wedge ids."""
+    return map(wedges.__getitem__, map(slice, chain((0,), ends), ends))
+
+
+def build_equiwing(graph, decomp=None):
+    """The index of `graph` from its decomposition. Both passes, the union
+    of each butterfly's min-level edges and the justification counts, read
+    the decomposition's bloom record by edge id; a decomposition without
+    one (after an update) has the blooms enumerated here, once."""
+    decomp = decomp if decomp is not None else wing_decomposition(graph)
+    edges, levels, record = _by_id(graph, decomp.wing_number,
+                                   decomp.bloom_runs)
+    index = EquiWingIndex()
+    pool = (i for i, w in enumerate(levels) if w >= 1)
+    form_classes(index, _runs(*record), levels, pool, edges)
+    index.refresh_k_max()
+    index.edge_counts = _edge_counts(edges, levels, record,
+                                     index.per_edge_node)
     index.super_edge_set = set(index.edge_counts)
     index._adjacency = None
     return index
 
 
-def _edge_counts(graph, wn, class_of):
+def _edge_counts(edges, levels, record, class_of):
     """Butterfly justification count of every super edge, bloom by bloom."""
+    classes = [class_of.get(e, 0) for e in edges]
     counts = {}
-    for u1, u2, common in graph.blooms():
-        add_bloom(counts, u1, u2, common, wn, class_of, 1)
+    for run in _runs(*record):
+        add_bloom(counts, run, levels, classes, 1)
     return counts
 
 
-def add_bloom(counts, u1, u2, common, wn, class_of, sign):
-    """Add `sign` times the justification counts that the bloom of u1 < u2
-    over `common` gives under the wing numbers `wn` and classes `class_of`.
+def add_bloom(counts, run, level, cls, sign):
+    """Add `sign` times the justification counts that one bloom gives, as a
+    flat run of wedge keys (see `form_classes`), under the wing numbers
+    `level[key]` and classes `cls[key]` (0 for none).
 
     The butterfly {x, y} of a bloom pairs the class of its min-level edge
     with each other class among its four edges. Key each common neighbour x
@@ -308,12 +353,11 @@ def add_bloom(counts, u1, u2, common, wn, class_of, sign):
     butterflies between two keys then contribute the same pairs, with `a`
     taken from the lower key: n_i * n_j of them, or C(n, 2) within a key.
     """
-    level, cls = wn.get, class_of.get
     keys = {}
-    for x in common:
-        e1, e2 = (u1, x), (u2, x)
-        w1, w2 = level(e1, 0), level(e2, 0)
-        c1, c2 = cls(e1, 0), cls(e2, 0)
+    it = iter(run)
+    for e1, e2 in zip(it, it):
+        w1, w2 = level[e1], level[e2]
+        c1, c2 = cls[e1], cls[e2]
         key = (w1, c1, c1, c2) if w1 <= w2 else (w2, c2, c1, c2)
         keys[key] = keys.get(key, 0) + 1
     items = sorted(keys.items())
@@ -334,7 +378,7 @@ def add_bloom(counts, u1, u2, common, wn, class_of, sign):
 def rebuild_edge_counts(index, graph, wn):
     """Recompute justification counts from the graph (they are derived and
     not serialized). Raises if the graph and index disagree."""
-    counts = _edge_counts(graph, wn, index.per_edge_node)
+    counts = _edge_counts(*_by_id(graph, wn), index.per_edge_node)
     if set(counts) != index.super_edge_set:
         raise InternalConsistencyError(
             "index super edges do not match the graph; was the index built "

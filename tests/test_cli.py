@@ -103,6 +103,17 @@ class TestBuild:
         comp = deserialize_comp(out_path.read_text())
         assert comp.merge_log == [(3, 2)]
 
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_phase_times(self, capsys, tmp_path, fig2_path, comp):
+        code, out, _ = run(
+            capsys, "build", "--graph", str(fig2_path), "--out",
+            str(tmp_path / "a.ew"), *(["--comp"] if comp else []),
+        )
+        timed = [line.split()[1] for line in out.splitlines()
+                 if line.startswith("# ") and " time " in line]
+        phases = ["decompose", "index"] + (["compress"] if comp else [])
+        assert code == 0 and timed == phases + ["build"]
+
 
 class TestQuery:
     def test_three_engines_byte_identical(self, capsys, fig2_path, ew_path,

@@ -235,6 +235,23 @@ class TestScope:
         assert (serialize(index), d.wing_number, d.support) == before
         assert frozen.sorted_edges() == fig2_graph.sorted_edges()
 
+    def test_scope_copies_no_graph(self, fig2_graph):
+        class UncopiedGraph(BipartiteGraph):
+            def copy(self):
+                raise AssertionError("affected_edges copied the graph")
+
+        g, d, index = fig2_state(fig2_graph)
+        uncopied = UncopiedGraph()
+        uncopied.adj_u, uncopied.adj_v = g.adj_u, g.adj_v
+        for kind, (u, v) in [("insert", ("v4", "u6")), ("delete", ("v7", "u6")),
+                             ("insert", ("v9", "u1")), ("delete", ("v1", "u1"))]:
+            got = affected_edges(uncopied, d, index, kind, u, v)
+            want = affected_edges(g.copy(), d, index, kind, u, v)
+            assert got.lines() == want.lines()
+            assert got.affected_edges == want.affected_edges
+            assert got.changed == want.changed
+        assert uncopied.sorted_edges() == fig2_graph.sorted_edges()
+
     def test_bad_kind_and_missing_edge(self, fig2_graph):
         g, d, index = fig2_state(fig2_graph)
         with pytest.raises(InvalidArgumentError):

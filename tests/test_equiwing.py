@@ -1,11 +1,17 @@
+import hashlib
+
 import pytest
 
 import oracles
 from wingsearch import (
+    BipartiteGraph,
     QueryCounters,
+    apply_update,
     baseline_search,
     build_equiwing,
+    compress,
     deserialize,
+    generate_bipartite,
     query_equiwing,
     rebuild_edge_counts,
     serialize,
@@ -201,6 +207,79 @@ class TestBloomBuild:
             assert list(d.support.items()) == [
                 (e, oracles.support_of(e, edges)) for e in g.sorted_edges()
             ]
+
+
+class BloomCountingGraph(BipartiteGraph):
+    """Counts whole-graph bloom enumerations: `blooms` calls."""
+
+    def __init__(self, edges=()):
+        super().__init__()
+        self.enumerations = 0
+        for u, v in edges:
+            self.insert_edge(u, v)
+
+    def blooms(self):
+        self.enumerations += 1
+        return super().blooms()
+
+
+class TestOnePassBuild:
+    """A rebuild enumerates the blooms once: the build reads the bloom
+    record that the peel kept, and records them itself only when an update
+    has dropped it."""
+
+    def test_build_reads_the_peel_record(self):
+        g = BloomCountingGraph(blocks_sharing_a_vertex(3))
+        d = wing_decomposition(g)
+        assert g.enumerations == 1
+        index = build_equiwing(g, d)
+        assert g.enumerations == 1
+        assert serialize(build_equiwing(g)) == serialize(index)
+        assert g.enumerations == 2  # the peel inside build_equiwing(g)
+
+    def test_build_after_an_update_enumerates_once(self, rng):
+        for _ in range(10):
+            edges = random_bipartite_edges(rng, 9, 9, 0.4)
+            g = BloomCountingGraph(edges)
+            d = wing_decomposition(g)
+            index = build_equiwing(g, d)
+            absent = [(f"a{i}", f"b{j}") for i in range(9) for j in range(9)
+                      if not g.has_edge(f"a{i}", f"b{j}")]
+            kind, (u, v) = (("delete", rng.choice(edges)) if rng.random() < 0.5
+                            else ("insert", rng.choice(absent)))
+            apply_update(g, d, index, kind, u, v)
+            assert d.bloom_runs is None
+            before = g.enumerations
+            rebuilt = build_equiwing(g, d)
+            assert g.enumerations == before + 1
+            scratch = build_equiwing(build(g.sorted_edges()))
+            assert serialize(rebuilt) == serialize(scratch)
+            assert rebuilt.edge_counts == scratch.edge_counts
+
+    @pytest.mark.parametrize("args,n_edges,digests", [
+        ((200, 200, 0.035, 91, [(12, 12, 0.9)] * 2), 1702, (
+            "542596cdb9ab72764f54a23eaf97b7e25331ef62f7c878f5bf941ff9c53813a7",
+            "f065bf1741432997fafc66e5ce3dde94c7a380e309017f1428cd75fab4056114",
+            "b5dd4f1da50ffe3f5887db0960bf3722388f8883427bbc1289c0f91fb8ac5baf",
+        )),
+        ((400, 400, 0.035, 91, [(20, 20, 0.9)] * 2), 6394, (
+            "46de4b9536edb34778ce138e74a8eb03746d7bb2bd5f3e7d254faf5a3c591e2a",
+            "ae72af5dab66e2e08c2706b829ae71f9167bff5bc0797df82d397ce1b979da2b",
+            "19d95efe697c0ed9493b31955e14e5c9f729ce2e46e8ddf0182fdca77ffd5169",
+        )),
+    ])
+    def test_pinned_digest(self, args, n_edges, digests):
+        """sha256 of the index file, the compressed index file and the
+        sorted `edge_counts` lines, as the build that enumerated the blooms
+        in each of its two passes wrote them."""
+        edges = generate_bipartite(*args)
+        assert len(edges) == n_edges
+        index = build_equiwing(build(edges))
+        counts = "".join(f"{a} {b} {c}\n"
+                         for (a, b), c in sorted(index.edge_counts.items()))
+        texts = (serialize(index), serialize(compress(index)), counts)
+        assert tuple(hashlib.sha256(t.encode()).hexdigest()
+                     for t in texts) == digests
 
 
 class TestQueries:
