@@ -16,7 +16,7 @@ import time
 from .baseline import baseline_search
 from .compress import compress, is_forest
 from .decomposition import wing_decomposition
-from .dynamic import apply_update, apply_update_comp
+from .dynamic import apply_update
 from .equiwing import (
     COMP_FORMAT_HEADER,
     FORMAT_HEADER,
@@ -119,40 +119,23 @@ def _print_wings(wings, fmt):
     sys.stdout.write("".join(lines))
 
 
-def _verify_index_matches(graph, decomp, index, shadow=None):
-    """Cheap cross-check that a loaded index describes this graph; surgery
-    and queries on a mismatched pair would silently lie."""
-    wn = decomp.wing_number
-    classed = set(index.per_edge_node)
-    expected = {e for e, w in wn.items() if w >= 1}
-    if classed != expected:
+def _check_comp(comp, index):
+    """Raise unless each node of the compressed file `comp` is the union of
+    whole classes of `index`, a fresh build, at the node's level, and the
+    nodes class every edge the build does. Classes are disjoint, so those
+    whose sizes sum to the node's size make up the node."""
+    nodes, class_of = index.nodes, index.per_edge_node
+    for node in comp.nodes.values():
+        ids = {class_of.get(e) for e in node.members}
+        if (None in ids or any(nodes[s].level != node.level for s in ids)
+                or sum(len(nodes[s].members) for s in ids)
+                != len(node.members)):
+            raise InternalConsistencyError(
+                f"compressed index does not match graph: node {node.sn_id} "
+                "is not a union of classes at its level")
+    if len(comp.per_edge_node) != len(class_of):
         raise InternalConsistencyError(
-            "index does not match graph: classed edges disagree with "
-            "wing numbers"
-        )
-    for node in index.nodes.values():
-        for e in node.members:
-            if wn.get(e, 0) != node.level:
-                raise InternalConsistencyError(
-                    "index does not match graph: node level disagrees with "
-                    "wing number"
-                )
-    if shadow is not None:
-        # compressed nodes must be unions of the shadow's classes
-        for node in index.nodes.values():
-            covered = set()
-            for e in node.members:
-                sid = shadow.per_edge_node.get(e)
-                if sid is None or shadow.nodes[sid].level != node.level:
-                    raise InternalConsistencyError(
-                        "compressed index does not match graph"
-                    )
-                covered.update(shadow.nodes[sid].members)
-            if covered != node.members:
-                raise InternalConsistencyError(
-                    "compressed index does not match graph: merged node is "
-                    "not a union of classes"
-                )
+            "compressed index does not match graph: it leaves classes out")
 
 
 def _load_graph(path):
@@ -253,35 +236,34 @@ def cmd_update(args):
             "update needs at least one --insert or --delete"
         )
     mutations = [(kind, _parse_edge(val)) for kind, val in args.mutations]
+    t0 = time.perf_counter()
     graph = _load_graph(args.graph)
     text = _read_text(args.index)
     kind = _sniff(text)
     decomp = wing_decomposition(graph)
     index = _parse(text, kind)
     if kind == "comp":
-        loaded, index = index, build_equiwing(graph, decomp)
-        _verify_index_matches(graph, decomp, loaded, shadow=index)
         # the file's merge log names ids of the build that wrote it, so
-        # the first update compresses this build's index afresh
-        comp = None
+        # updates run on this build's index, compressed once at the end
+        loaded, index = index, build_equiwing(graph, decomp)
+        _check_comp(loaded, index)
     else:
-        _verify_index_matches(graph, decomp, index)
-        rebuild_edge_counts(index, graph, decomp.wing_number)
+        rebuild_edge_counts(index, graph, decomp)
+    print(f"# check time {time.perf_counter() - t0:.6f}s")
     total0 = time.perf_counter()
     for i, (mkind, (u, v)) in enumerate(mutations, start=1):
         t0 = time.perf_counter()
-        if kind == "comp":
-            report, comp = apply_update_comp(
-                graph, decomp, index, comp, mkind, u, v
-            )
-        else:
-            report = apply_update(graph, decomp, index, mkind, u, v)
+        report = apply_update(graph, decomp, index, mkind, u, v)
         dt = time.perf_counter() - t0
         print(f"# mutation {i} time {dt:.6f}s")
         for line in report.lines(i):
             print(line)
     print(f"# total update time {time.perf_counter() - total0:.6f}s")
-    out_text = serialize(comp if kind == "comp" else index)
+    if kind == "comp":
+        t0 = time.perf_counter()
+        index = compress(index)
+        print(f"# compress time {time.perf_counter() - t0:.6f}s")
+    out_text = serialize(index)
     save_edge_list(graph, args.graph)
     atomic_write_text(args.index, out_text)
     print(f"# wrote {args.graph}")

@@ -68,7 +68,6 @@ def compress(index):
     comp.merge_log = sorted(
         (sid, kept) for sid, kept in keep_of.items() if sid != kept
     )
-    comp.refresh_k_max()
     return comp
 
 

@@ -42,9 +42,6 @@ class WingDecomposition:
     def k_max(self):
         return max(self.wing_number.values(), default=0)
 
-    def edges_at_least(self, k):
-        return [e for e, w in self.wing_number.items() if w >= k]
-
 
 def wing_decomposition(graph):
     edges = graph.sorted_edges()

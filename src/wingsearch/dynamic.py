@@ -42,8 +42,8 @@ surviving classes chained to each other through a changed edge merge: an
 insert joins classes only there and never splits one. Either way the
 scope widens. The super edges' justification counts are then patched with
 the build's own bloom kernel, over the left-vertex pairs that meet the
-scope. A structural validation pass runs after every update; on any
-violation the index is rebuilt from scratch and the report says so.
+scope. The index is validated against the new wing numbers after every
+update; on any violation it is rebuilt from scratch and the report says so.
 """
 
 from collections import Counter, defaultdict, deque
@@ -460,14 +460,15 @@ def _patch_counts(graph, index, report, wn, wn_old, class_old):
 def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
     index in place; the decomposition's bloom record, which no longer
-    holds, is dropped. Returns the UpdateReport that `affected_edges` would
-    give, widened by the surgery."""
+    holds, is dropped; an index loaded without counts is checked by
+    `rebuild_edge_counts` first. Returns the UpdateReport that
+    `affected_edges` would give, widened by the surgery."""
     wn = decomp.wing_number
     report, through, gain = _start(graph, wn, kind, u, v)
     e = report.edge
     insert = kind == "insert"
     if index.edge_counts is None:
-        rebuild_edge_counts(index, graph, wn)
+        rebuild_edge_counts(index, graph, decomp)
     # an inserted e reads level 0 and no class on the old side
     wn_old = defaultdict(int, wn)
     class_old = defaultdict(int, index.per_edge_node)
@@ -490,14 +491,9 @@ def apply_update(graph, decomp, index, kind, u, v):
 
     _reclassify(index, graph, wn, report)
     _patch_counts(graph, index, report, wn, wn_old, class_old)
-    index.refresh_k_max()
 
     # defensive validation; fall back to a scratch rebuild on any violation
-    problems = index.validate()
-    classed = set(index.per_edge_node)
-    expected = {f for f, w in wn.items() if w >= 1}
-    if classed != expected:
-        problems.append("classed edges disagree with wing numbers")
+    problems = index.validate(wn)
     if problems:
         report.events.extend(problems)
         rebuilt = build_equiwing(graph, decomp)

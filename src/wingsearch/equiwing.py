@@ -29,6 +29,7 @@ other parsing.
 import hashlib
 from array import array
 from itertools import chain
+from operator import countOf
 
 from .decomposition import wing_decomposition
 from .errors import IndexFormatError, InternalConsistencyError
@@ -82,7 +83,6 @@ class EquiWingIndex:
         # butterfly justification counts per super edge; None after
         # deserialization until rebuilt (derived, not serialized)
         self.edge_counts = None
-        self.k_max = 0
         self.per_edge_node = {}
         self.vertex_seeds = {}
         self._adjacency = None
@@ -142,11 +142,15 @@ class EquiWingIndex:
         self.nodes = other.nodes
         self.super_edge_set = other.super_edge_set
         self.edge_counts = other.edge_counts
-        self.k_max = other.k_max
         self.per_edge_node = other.per_edge_node
         self.vertex_seeds = other.vertex_seeds
         self._adjacency = None
         self._next_id = other._next_id
+
+    @property
+    def k_max(self):
+        """The largest node level (0 for an empty index)."""
+        return max((n.level for n in self.nodes.values()), default=0)
 
     def compression_ratio(self):
         """Ratio of plain super node count to compressed count, recoverable
@@ -155,17 +159,17 @@ class EquiWingIndex:
             return 1.0
         return (len(self.nodes) + len(self.merge_log or ())) / len(self.nodes)
 
-    def refresh_k_max(self):
-        self.k_max = max((n.level for n in self.nodes.values()), default=0)
-
     def level_histogram(self):
         hist = {}
         for n in self.nodes.values():
             hist[n.level] = hist.get(n.level, 0) + 1
         return dict(sorted(hist.items()))
 
-    def validate(self):
-        """Cheap structural invariant sweep; returns a list of problems."""
+    def validate(self, wing_number=None):
+        """Cheap structural invariant sweep; returns a list of problems.
+        Given the graph's wing numbers, each member's must be its node's
+        level, and as many edges be classed as have one >= 1: then the
+        classed edges are exactly those, and the index describes the graph."""
         problems = []
         seen = {}
         for sn_id, node in self.nodes.items():
@@ -203,6 +207,16 @@ class EquiWingIndex:
                 for old, kept in self.merge_log
             ):
                 problems.append("merge log names missing or live nodes")
+        if wing_number is not None:
+            level_of = wing_number.get
+            for sn_id, n in self.nodes.items():
+                if countOf(map(level_of, n.members), n.level) != len(
+                        n.members):
+                    problems.append(f"node {sn_id} level disagrees with "
+                                    "wing numbers")
+            unclassed = countOf(wing_number.values(), 0)
+            if len(self.per_edge_node) != len(wing_number) - unclassed:
+                problems.append("classed edges disagree with wing numbers")
         return problems
 
 
@@ -290,13 +304,14 @@ def form_classes(index, runs, level, pool, edges=None):
     return formed
 
 
-def _by_id(graph, wn, record=None):
+def _by_id(graph, decomp):
     """(edges, levels, record): the edges in id order, their wing numbers
     and the bloom record as `WingDecomposition.bloom_runs` holds it. Given
-    no record, the ids are positions in the graph's sorted edges and the
-    blooms are enumerated here, once."""
-    if record is not None:
-        return list(wn), list(wn.values()), record
+    a decomposition with no record, the ids are positions in the graph's
+    sorted edges and the blooms are enumerated here, once."""
+    wn = decomp.wing_number
+    if decomp.bloom_runs is not None:
+        return list(wn), list(wn.values()), decomp.bloom_runs
     edges = graph.sorted_edges()
     eid = {e: i for i, e in enumerate(edges)}
     wedges, ends = array("i"), array("i")
@@ -319,12 +334,10 @@ def build_equiwing(graph, decomp=None):
     the decomposition's bloom record by edge id; a decomposition without
     one (after an update) has the blooms enumerated here, once."""
     decomp = decomp if decomp is not None else wing_decomposition(graph)
-    edges, levels, record = _by_id(graph, decomp.wing_number,
-                                   decomp.bloom_runs)
+    edges, levels, record = _by_id(graph, decomp)
     index = EquiWingIndex()
     pool = (i for i, w in enumerate(levels) if w >= 1)
     form_classes(index, _runs(*record), levels, pool, edges)
-    index.refresh_k_max()
     index.edge_counts = _edge_counts(edges, levels, record,
                                      index.per_edge_node)
     index.super_edge_set = set(index.edge_counts)
@@ -375,10 +388,16 @@ def add_bloom(counts, run, level, cls, sign):
                     counts[pair] = counts.get(pair, 0) + weight
 
 
-def rebuild_edge_counts(index, graph, wn):
+def rebuild_edge_counts(index, graph, decomp):
     """Recompute justification counts from the graph (they are derived and
-    not serialized). Raises if the graph and index disagree."""
-    counts = _edge_counts(*_by_id(graph, wn), index.per_edge_node)
+    not serialized). Raises if the graph, of decomposition `decomp`, and the
+    index disagree: in `index.validate(decomp.wing_number)` or in the super
+    edges."""
+    problems = index.validate(decomp.wing_number)
+    if problems:
+        raise InternalConsistencyError(
+            f"index does not match graph: {problems[0]}")
+    counts = _edge_counts(*_by_id(graph, decomp), index.per_edge_node)
     if set(counts) != index.super_edge_set:
         raise InternalConsistencyError(
             "index super edges do not match the graph; was the index built "
@@ -547,7 +566,6 @@ def _read(text, header, what):
         index.merge_log = [tuple(ints("M", 2)) for _ in range(n_merges)]
     if pos != len(lines):
         raise fail("unexpected content before the checksum line")
-    index.refresh_k_max()
     if index.k_max != k_max:
         raise IndexFormatError(f"{what}: kmax disagrees with node levels")
     problems = index.validate()

@@ -6,12 +6,16 @@ import stat
 import pytest
 
 from wingsearch import (
+    BipartiteGraph,
     SuperNode,
+    apply_update_comp,
+    build_equiwing,
     deserialize,
     deserialize_comp,
     generate_bipartite,
     load_edge_list,
     serialize,
+    wing_decomposition,
 )
 from wingsearch.cli import main
 
@@ -187,6 +191,23 @@ class TestQuery:
         assert code == 3
 
 
+def leave_out(comp, sn_id):
+    comp.remove_node(sn_id)
+    comp.super_edge_set = {p for p in comp.super_edge_set if sn_id not in p}
+
+
+def split_off_one(comp, sn_id):
+    node = comp.remove_node(sn_id)
+    first, *rest = node.ordered()
+    comp.add_node(SuperNode(sn_id, node.level, rest))
+    comp.add_node(SuperNode(comp.alloc_id(), node.level, [first]))
+
+
+def raise_level(comp, sn_id):
+    node = comp.remove_node(sn_id)
+    comp.add_node(SuperNode(sn_id, node.level + 1, node.members))
+
+
 class TestUpdate:
     def test_insert_reports_and_rewrites(self, capsys, tmp_path, g_path,
                                          ew_path):
@@ -282,6 +303,49 @@ class TestUpdate:
         assert code == 0 and "affected_super_nodes 3\n" in out
         assert len(calls) == 1
 
+    def test_comp_update_equals_the_library_chain(self, capsys, g_path,
+                                                  ewc_path):
+        """Three mutations in one call write what the last compressed index
+        of an `apply_update_comp` chain over them serializes to."""
+        mutations = [("insert", "v4", "u6"), ("delete", "v6", "u5"),
+                     ("insert", "v1", "u3")]
+        graph, _ = load_edge_list(str(g_path))
+        d = wing_decomposition(graph)
+        index, comp = build_equiwing(graph, d), None
+        for kind, u, v in mutations:
+            _report, comp = apply_update_comp(graph, d, index, comp, kind,
+                                              u, v)
+        flags = [x for kind, u, v in mutations for x in (f"--{kind}",
+                                                         f"{u}:{v}")]
+        code, _, _ = run(capsys, "update", "--graph", str(g_path),
+                         "--index", str(ewc_path), *flags)
+        assert code == 0
+        assert ewc_path.read_text() == serialize(comp)
+
+    @pytest.mark.parametrize("fmt", ["ew_path", "ewc_path"])
+    def test_one_bloom_enumeration(self, capsys, monkeypatch, request,
+                                   g_path, fmt):
+        """The peel's bloom record serves the check and, on a comp file,
+        the build: neither enumerates the blooms again."""
+        index_path = request.getfixturevalue(fmt)
+        calls = []
+        real = BipartiteGraph.blooms
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(BipartiteGraph, "blooms", counting)
+        code, out, _ = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(index_path), "--insert", "v4:u6", "--delete", "v6:u5",
+        )
+        assert code == 0 and len(calls) == 1
+        timed = [line.split()[1] for line in out.splitlines()
+                 if line.startswith("# ") and " time " in line]
+        comp = ["compress"] if fmt == "ewc_path" else []
+        assert timed == ["check", "mutation", "mutation", "total", *comp]
+
     def test_delete_missing_edge_changes_nothing(self, capsys, g_path,
                                                  ew_path):
         before_graph = g_path.read_text()
@@ -328,6 +392,25 @@ class TestUpdate:
             )
             assert code == 4, node
             assert "index super edges do not match the graph" in err
+
+    @pytest.mark.parametrize("corrupt, sn_id", [
+        (split_off_one, 4),  # node 4 is the whole of class 4
+        (raise_level, 6),
+        (leave_out, 5),
+    ], ids=["part-of-a-class", "wrong-level", "class-left-out"])
+    def test_comp_file_of_another_graph_is_internal_error(
+            self, capsys, g_path, ewc_path, corrupt, sn_id):
+        comp = deserialize_comp(ewc_path.read_text())
+        corrupt(comp, sn_id)
+        assert comp.validate() == []
+        ewc_path.write_text(serialize(comp))
+        before = g_path.read_bytes(), ewc_path.read_bytes()
+        code, _, err = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(ewc_path), "--insert", "v4:u6",
+        )
+        assert code == 4 and "compressed index does not match graph" in err
+        assert (g_path.read_bytes(), ewc_path.read_bytes()) == before
 
     def test_no_mutations_rejected(self, capsys, g_path, ew_path):
         code, _, _ = run(

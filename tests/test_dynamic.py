@@ -8,6 +8,7 @@ import pytest
 
 from wingsearch import (
     BipartiteGraph,
+    SuperNode,
     affected_edges,
     apply_update,
     apply_update_comp,
@@ -15,6 +16,7 @@ from wingsearch import (
     build_equiwing,
     compress,
     compute_delta,
+    deserialize,
     generate_bipartite,
     query_comp,
     query_equiwing,
@@ -22,7 +24,11 @@ from wingsearch import (
     wing_decomposition,
     wing_upper_bound,
 )
-from wingsearch.errors import InvalidArgumentError, UnknownEdgeError
+from wingsearch.errors import (
+    InternalConsistencyError,
+    InvalidArgumentError,
+    UnknownEdgeError,
+)
 from wingsearch.graph import butterfly_edges
 
 from conftest import (
@@ -580,6 +586,24 @@ class TestFallbackValve:
         assert report.fell_back is True
         assert index.validate() == []
         assert_matches_scratch(g, d, index)
+
+    def test_loaded_index_of_another_graph_changes_nothing(self, fig2_graph):
+        """A loaded index whose top node sits one level too high is refused
+        before the update touches the graph, decomposition or index."""
+        g, d, index = fig2_state(fig2_graph)
+        loaded = deserialize(serialize(index))
+        top = loaded.remove_node(6)
+        loaded.add_node(SuperNode(6, top.level + 1, top.members))
+        assert loaded.validate() == []
+        text = serialize(loaded)
+        before = (g.sorted_edges(), dict(d.wing_number), dict(d.support),
+                  d.bloom_runs)
+        with pytest.raises(InternalConsistencyError,
+                           match="index does not match graph"):
+            apply_update(g, d, loaded, "insert", "v4", "u6")
+        after = g.sorted_edges(), d.wing_number, d.support, d.bloom_runs
+        assert after == before
+        assert serialize(loaded) == text and loaded.edge_counts is None
 
 
 class TestRandomSequences:

@@ -349,7 +349,7 @@ class TestSerialization:
         index = build_equiwing(fig2_graph)
         counts = dict(index.edge_counts)
         loaded = deserialize(serialize(index))
-        rebuild_edge_counts(loaded, fig2_graph, wing_decomposition(fig2_graph).wing_number)
+        rebuild_edge_counts(loaded, fig2_graph, wing_decomposition(fig2_graph))
         assert loaded.edge_counts == counts
 
     def test_rebuild_counts_rejects_wrong_graph(self, fig2_graph):
@@ -357,9 +357,7 @@ class TestSerialization:
         loaded = deserialize(serialize(index))
         other = build([("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")])
         with pytest.raises(InternalConsistencyError):
-            rebuild_edge_counts(
-                loaded, other, wing_decomposition(other).wing_number
-            )
+            rebuild_edge_counts(loaded, other, wing_decomposition(other))
 
     def test_corruption_detected(self, fig2_graph):
         index = build_equiwing(fig2_graph)
