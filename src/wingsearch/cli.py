@@ -14,7 +14,7 @@ import sys
 import time
 
 from .baseline import baseline_search
-from .compress import compress, is_forest
+from .compress import components_top_down, compress, is_forest
 from .decomposition import wing_decomposition
 from .dynamic import apply_update
 from .equiwing import (
@@ -285,6 +285,19 @@ def cmd_stats(args):
     if kind == "comp":
         print(f"compression_ratio {index.compression_ratio():g}")
     print(f"forest {'yes' if is_forest(index) else 'no'}")
+    # what a query costs: its answer is the members of the nodes it walks
+    sizes = sorted(len(n.members) for n in index.nodes.values())
+    if sizes:
+        big = min(index.nodes.values(),
+                  key=lambda n: (-len(n.members), n.sn_id))
+        print(f"# largest_class {big.sn_id} level {big.level} "
+              f"members {len(big.members)}")
+        p50, p90 = (sizes[(p * len(sizes) + 99) // 100 - 1] for p in (50, 90))
+        print(f"# members p50 {p50} p90 {p90} max {sizes[-1]}")
+    wings = [(level, largest) for level, _ids, _parent, largest
+             in components_top_down(index)]
+    for level, largest in reversed(wings):
+        print(f"# biggest_wing level {level} edges {largest}")
     return 0
 
 

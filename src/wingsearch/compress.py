@@ -3,15 +3,18 @@ the same connected component of the sub-super-graph induced on levels >= k
 answer identically for every query at k, so they merge into one node.
 
 As k falls, the components on levels >= k only merge, so one union-find
-pass from the top level down finds every level's groups; an update simply
-compresses again. The merged node keeps the smallest participating id and
-the merge log records old -> kept mappings so files stay self-describing.
+pass from the top level down finds every level's groups, and the size of
+each level's biggest wing for `stats`; an update simply compresses again.
+The merged node keeps the smallest participating id and the merge log
+records old -> kept mappings so files stay self-describing.
 
 The result is an EquiWingIndex with `merge_log` set, so it is answered by the
 same walk and written by the same serializer: `query_comp` and
 `serialize_comp` are aliases of `query_equiwing` and `serialize`, and
 `deserialize_comp` is the reader that accepts only the compressed header.
 """
+
+from itertools import repeat
 
 from .equiwing import (
     EquiWingIndex,
@@ -23,32 +26,49 @@ from .equiwing import (
 )
 
 
-def compress(index):
-    """Compress `index` in one union-find pass over its super edges.
-
-    Nodes join the union-find by descending level, each united with the
-    neighbours already in. Once every level-k node is in, the roots are the
-    components of the sub-super-graph induced on levels >= k, so the
-    level-k nodes under one root form one merged node, which keeps the
-    smallest id. A node merged with nothing is shared with `index` as it
-    is.
-    """
+def components_top_down(index):
+    """Join the nodes to one union-find forest by descending level, each
+    united with the neighbours already in, and yield (level, the level's
+    node ids ascending, parent, largest) once every node of the level is in.
+    The roots are then the components of the sub-super-graph induced on
+    levels >= level, the k-wings at k = level, and `largest` is the member
+    count of the biggest."""
     nodes = index.nodes
     adj = index.adjacency()
     by_level = {}
     for sid in sorted(nodes):
         by_level.setdefault(nodes[sid].level, []).append(sid)
-    parent = {}
-    keep_of = {}
-    groups = []
+    parent, size = {}, {}
+    largest = 0
     for level in sorted(by_level, reverse=True):
         for sid in by_level[level]:
-            parent[sid] = sid
+            parent[sid] = root = sid
+            size[sid] = len(nodes[sid].members)
             for nb in adj[sid]:
                 if nb in parent:
-                    parent[find_root(parent, nb)] = find_root(parent, sid)
+                    other = find_root(parent, nb)
+                    if other != root:
+                        parent[other] = root
+                        size[root] += size.pop(other)
+            largest = max(largest, size[root])
+        yield level, by_level[level], parent, largest
+
+
+def compress(index):
+    """Compress `index` in one union-find pass over its super edges.
+
+    Once every level-k node is in (see `components_top_down`), the level-k
+    nodes under one root form one merged node, which keeps the smallest id.
+    A node merged with nothing is shared with `index` as it is. An index
+    with a kept edge order passes it on: the edge list is shared and each
+    class id maps to its kept id.
+    """
+    nodes = index.nodes
+    keep_of = {}
+    groups = []
+    for _level, ids, parent, _largest in components_top_down(index):
         here = {}
-        for sid in by_level[level]:  # ascending, so a group's first is kept
+        for sid in ids:  # ascending, so a group's first is kept
             here.setdefault(find_root(parent, sid), []).append(sid)
         for group in here.values():
             keep_of.update(dict.fromkeys(group, group[0]))
@@ -68,6 +88,9 @@ def compress(index):
     comp.merge_log = sorted(
         (sid, kept) for sid, kept in keep_of.items() if sid != kept
     )
+    if index._order is not None:
+        edges, classes = index._order
+        comp._order = edges, list(map(keep_of.get, classes, repeat(0)))
     return comp
 
 

@@ -42,8 +42,9 @@ surviving classes chained to each other through a changed edge merge: an
 insert joins classes only there and never splits one. Either way the
 scope widens. The super edges' justification counts are then patched with
 the build's own bloom kernel, over the left-vertex pairs that meet the
-scope. The index is validated against the new wing numbers after every
-update; on any violation it is rebuilt from scratch and the report says so.
+scope: one enumeration of them feeds both passes. The index is validated
+against the new wing numbers after every update; on any violation it is
+rebuilt from scratch and the report says so.
 """
 
 from collections import Counter, defaultdict, deque
@@ -124,8 +125,9 @@ class UpdateReport:
 
 
 def _others(butterflies, f, intern):
-    """One flat list of the other three edges of each butterfly through f,
-    every edge tuple taken from `intern`, so each edge is one object."""
+    """One flat list of the other three edges of each of `butterflies`,
+    canonical butterflies through f, as `BipartiteGraph.butterfly_others`
+    gives it; every edge tuple is taken from `intern`."""
     u, v = f
     out = []
     add = out.append
@@ -153,16 +155,16 @@ class _Values(dict):
 
 def _fixpoint(graph, wn, up, cap=None, known=()):
     """Lower `up` values to the greatest fixpoint of the locality operator
-    below their start. Returns the memo, edge -> its flat list of `_others`,
-    the values, edge -> the value it counts at (the walk's for an edge in
-    `up`), and the walk's work counters. Each edge's butterflies are
-    enumerated once per walk, or taken from `known` (edge, butterflies)
-    pairs, and kept in the memo. An evaluation of f from `old` counts the minima of its
-    butterflies capped at old, with no sort, and gives val = min(old,
-    h-index). A drop from old to val queues each butterfly neighbour in the
-    walk whose value v has val < v <= old: only such a drop costs it a
-    butterfly whose minimum reaches v. No floor is needed: the iterates
-    never fall below the true new values.
+    below their start. Returns the memo, edge -> its flat list of
+    `graph.butterfly_others`, the values, edge -> the value it counts at
+    (the walk's for an edge in `up`), and the walk's work counters. Each
+    edge's butterflies are enumerated once per walk, or taken from `known`
+    (edge, butterflies) pairs, and kept in the memo. An evaluation of f from
+    `old` counts the minima of its butterflies capped at old, with no sort,
+    and gives val = min(old, h-index). A drop from old to val queues each
+    butterfly neighbour in the walk whose value v has val < v <= old: only
+    such a drop costs it a butterfly whose minimum reaches v. No floor is
+    needed: the iterates never fall below the true new values.
 
     On a delete (no `cap`) an edge outside the walk counts at its old value
     w, and is taken in at w when a drop crosses it: val < w <= old.
@@ -222,8 +224,7 @@ def _fixpoint(graph, wn, up, cap=None, known=()):
             continue
         others = memo.get(f)
         if others is None:
-            others = memo[f] = _others(graph.butterflies_of_edge(*f), f,
-                                       intern)
+            others = memo[f] = graph.butterfly_others(*f, intern)
         evaluations += 1
         scanned += len(others) // 3
         top = min(old, len(others) // 3)
@@ -367,20 +368,24 @@ def affected_edges(graph, decomp, index, kind, u, v):
     return report
 
 
-def _blooms_meeting(graph, edges):
-    """Yield (u1, u2, common) for each left-vertex pair u1 < u2 that shares
-    a neighbour x with (u1, x) in `edges`, with all their common neighbours
-    (maybe fewer than two). These blooms hold every butterfly through
-    `edges`."""
+def _blooms_meeting(graph, edges, regain, blooms):
+    """Add to `blooms`, pair -> common neighbours, each left-vertex pair u1
+    < u2 not in it yet that shares a neighbour x with (u1, x) in `edges`
+    and holds a butterfly: two or more common neighbours, or one for a pair
+    in `regain`, which a deleted edge leaves one short. These blooms hold
+    every butterfly through `edges`, before and after the update."""
     adj_u, adj_v = graph.adj_u, graph.adj_v
     pairs = set()
     for u1, x in edges:
         for u2 in adj_v.get(x, ()):
             if u2 != u1:
                 pairs.add((u1, u2) if u1 < u2 else (u2, u1))
+    pairs.difference_update(blooms)
     none = frozenset()
-    for u1, u2 in pairs:
-        yield u1, u2, adj_u.get(u1, none) & adj_u.get(u2, none)
+    for pair in pairs:
+        common = adj_u.get(pair[0], none) & adj_u.get(pair[1], none)
+        if len(common) + (pair in regain) >= 2:
+            blooms[pair] = tuple(common)  # a quarter of a small set's bytes
 
 
 def _wedge_run(u1, u2, common):
@@ -392,53 +397,50 @@ def _wedge_run(u1, u2, common):
     return run
 
 
-def _reclassify(index, graph, wn, report):
+def _reclassify(index, wn, report, blooms):
     """Remove the scope's classes and re-form its edges of level >= 1 with
-    the build's union pass, over the blooms that meet them. A surviving
-    class chained to them, or chained to another through a changed edge,
-    joins whole: the report takes in its id and members. A butterfly with
-    no scope edge holds no changed edge and is not new, so it chains only
-    edges that already sit in one surviving class; no other bloom can move
-    a class boundary."""
+    the build's union pass, over `blooms`, those that meet the scope. A
+    surviving class chained to them, or chained to another through a
+    changed edge, joins whole: the report takes in its id and members.
+    Returns the members so taken in. A butterfly with no scope edge holds
+    no changed edge and is not new, so it chains only edges that already
+    sit in one surviving class; no other bloom can move a class boundary,
+    and one that meets only an unclassed scope edge unites nothing new."""
     for sid in report.affected_nodes:
         index.remove_node(sid)
     pool = {f for f in report.affected_edges if wn.get(f, 0) >= 1}
-    runs = (_wedge_run(*b) for b in _blooms_meeting(graph, pool)
-            if len(b[2]) >= 2)
+    runs = (_wedge_run(u1, u2, common)
+            for (u1, u2), common in blooms.items() if len(common) >= 2)
+    taken_in = []
     for nid, absorbed in form_classes(index, runs, wn, pool):
         for node in absorbed:
             report.affected_nodes.add(node.sn_id)
-            report.affected_edges.update(node.members)
+            taken_in.extend(node.members)
             report.events.append(
                 f"absorbed surviving class {node.sn_id} at level {node.level}"
             )
         report.new_node_ids.append(nid)
+    report.affected_edges.update(taken_in)
+    return taken_in
 
 
-def _patch_counts(graph, index, report, wn, wn_old, class_old):
-    """Patch the justification counts bloom by bloom. Every left-vertex pair
-    that shares a neighbour over a scope edge, e' included, takes back its
-    old bloom under the old wing numbers and classes and adds its new one
-    under the new maps. A pair that meets no scope edge holds only edges
-    whose level and class did not move, so its two terms would cancel. A
-    deleted e' = (u, v) is back in the old blooms of u with each remaining
-    neighbour of v; an inserted e' is missing from the old wing numbers, so
-    on the old side its butterflies count at level 0 and contribute
-    nothing."""
-    adj_v = graph.adj_v
-    u, v = report.edge
-    regain = set()
-    if report.kind == "delete":
-        regain = {(u, w) if u < w else (w, u) for w in adj_v.get(v, ())}
+def _patch_counts(index, report, blooms, regain, wn, wn_old, class_old):
+    """Patch the justification counts bloom by bloom. Each of `blooms`,
+    those that meet a scope edge, e' included, takes back its old bloom
+    under the old wing numbers and classes and adds its new one under the
+    new maps. A pair that meets no scope edge holds only edges whose level
+    and class did not move, so its two terms would cancel. A deleted e' =
+    (u, v) is back in the old blooms of the `regain` pairs, u with each
+    remaining neighbour of v; an inserted e' is missing from the old wing
+    numbers, so on the old side its butterflies count at level 0 and
+    contribute nothing."""
+    v = report.edge[1]
     class_new = defaultdict(int, index.per_edge_node)
     delta = {}
-    for u1, u2, common in _blooms_meeting(graph, report.affected_edges):
-        regained = (u1, u2) in regain
-        if len(common) + regained < 2:
-            continue
+    for (u1, u2), common in blooms.items():
         run = _wedge_run(u1, u2, common)
         add_bloom(delta, run, wn, class_new, 1)
-        if regained:
+        if (u1, u2) in regain:
             run += (u1, v), (u2, v)
         add_bloom(delta, run, wn_old, class_old, -1)
 
@@ -489,8 +491,16 @@ def apply_update(graph, decomp, index, kind, u, v):
         decomp.support.pop(e, None)
         wn.pop(e, None)
 
-    _reclassify(index, graph, wn, report)
-    _patch_counts(graph, index, report, wn, wn_old, class_old)
+    # one enumeration of the pairs that meet the scope feeds both surgery
+    # passes; those that meet the classes the union pass absorbs are added
+    regain = set()
+    if not insert:
+        regain = {(u, w) if u < w else (w, u) for w in graph.adj_v.get(v, ())}
+    blooms = {}
+    _blooms_meeting(graph, report.affected_edges, regain, blooms)
+    taken_in = _reclassify(index, wn, report, blooms)
+    _blooms_meeting(graph, taken_in, regain, blooms)
+    _patch_counts(index, report, blooms, regain, wn, wn_old, class_old)
 
     # defensive validation; fall back to a scratch rebuild on any violation
     problems = index.validate(wn)
@@ -510,7 +520,14 @@ def apply_update(graph, decomp, index, kind, u, v):
 def apply_update_comp(graph, decomp, index, comp, kind, u, v):
     """Like apply_update, keeping a compressed copy in step: `comp` comes
     back as it was when the update removed and formed no class, and is
-    otherwise compressed afresh. Returns (report, new_comp)."""
+    otherwise compressed afresh. Returns (report, new_comp).
+
+    An untouched `comp` keeps its edge order (see `EquiWingIndex`), and so
+    does `index`, as it still holds each edge under its class. That path
+    changes no edge's class. An inserted edge at wing number 0 is missing
+    from the order's edges, and it lies in no wing. A deleted edge at wing
+    number 0 stays in the order under class 0, so no query emits it. Any
+    node removed or formed drops the order."""
     report = apply_update(graph, decomp, index, kind, u, v)
     untouched = not report.affected_nodes and not report.new_node_ids
     if comp is None or report.fell_back or not untouched:

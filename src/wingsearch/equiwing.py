@@ -28,8 +28,8 @@ other parsing.
 
 import hashlib
 from array import array
-from itertools import chain
-from operator import countOf
+from itertools import chain, compress, islice, repeat
+from operator import countOf, lt
 
 from .decomposition import wing_decomposition
 from .errors import IndexFormatError, InternalConsistencyError
@@ -63,11 +63,13 @@ class SuperNode:
 
 class QueryCounters:
     """Instrumentation for the access-pattern checks: which super nodes a
-    query expanded and how many result edges it emitted."""
+    query expanded, how many result edges it emitted and, per wing, which
+    emission ran: "filter" (the kept edge order) or "merge" (the runs)."""
 
     def __init__(self):
         self.visited_nodes = []
         self.emitted_edges = 0
+        self.emissions = []
 
     def visit(self, node):
         self.visited_nodes.append((node.sn_id, node.level))
@@ -86,6 +88,11 @@ class EquiWingIndex:
         self.per_edge_node = {}
         self.vertex_seeds = {}
         self._adjacency = None
+        # (edges, classes): every edge of the graph it was built from in
+        # sorted order, and each one's node id (0 for none). Derived like
+        # the adjacency: set by the build and by `compress`, dropped by any
+        # node change, never serialized.
+        self._order = None
         self._next_id = 1
         # None on a plain index; on a compressed one the sorted
         # (old_id, kept_id) pairs, old != kept, of the merged nodes
@@ -108,7 +115,7 @@ class EquiWingIndex:
             u, v = e
             self.vertex_seeds.setdefault(u, set()).add(node.sn_id)
             self.vertex_seeds.setdefault(v, set()).add(node.sn_id)
-        self._adjacency = None
+        self._adjacency = self._order = None
 
     def remove_node(self, sn_id):
         """Detach a super node. Super edges touching it are left in place on
@@ -125,7 +132,7 @@ class EquiWingIndex:
                 seeds.discard(sn_id)
                 if not seeds:
                     del self.vertex_seeds[label]
-        self._adjacency = None
+        self._adjacency = self._order = None
         return node
 
     def adjacency(self):
@@ -145,6 +152,7 @@ class EquiWingIndex:
         self.per_edge_node = other.per_edge_node
         self.vertex_seeds = other.vertex_seeds
         self._adjacency = None
+        self._order = other._order
         self._next_id = other._next_id
 
     @property
@@ -167,7 +175,9 @@ class EquiWingIndex:
 
     def validate(self, wing_number=None):
         """Cheap structural invariant sweep; returns a list of problems.
-        Given the graph's wing numbers, each member's must be its node's
+        A kept edge order must list its edges strictly increasing, each
+        classed edge under its node id and every other one under 0. Given
+        the graph's wing numbers, each member's must be its node's
         level, and as many edges be classed as have one >= 1: then the
         classed edges are exactly those, and the index describes the graph."""
         problems = []
@@ -207,6 +217,16 @@ class EquiWingIndex:
                 for old, kept in self.merge_log
             ):
                 problems.append("merge log names missing or live nodes")
+        if self._order is not None:
+            edges, classes = self._order
+            if len(edges) != len(classes) or not all(
+                    map(lt, edges, islice(edges, 1, None))):
+                problems.append("kept edge order is not strictly increasing")
+            classed = list(compress(edges, classes))
+            if (len(classed) != len(self.per_edge_node)
+                    or list(map(self.per_edge_node.get, classed))
+                    != list(filter(None, classes))):
+                problems.append("kept edge order disagrees with the classes")
         if wing_number is not None:
             level_of = wing_number.get
             for sn_id, n in self.nodes.items():
@@ -332,26 +352,29 @@ def build_equiwing(graph, decomp=None):
     """The index of `graph` from its decomposition. Both passes, the union
     of each butterfly's min-level edges and the justification counts, read
     the decomposition's bloom record by edge id; a decomposition without
-    one (after an update) has the blooms enumerated here, once."""
+    one (after an update) has the blooms enumerated here, once. The index
+    keeps the edges in id order and the class list of the count pass as
+    its edge order."""
     decomp = decomp if decomp is not None else wing_decomposition(graph)
     edges, levels, record = _by_id(graph, decomp)
     index = EquiWingIndex()
     pool = (i for i, w in enumerate(levels) if w >= 1)
     form_classes(index, _runs(*record), levels, pool, edges)
-    index.edge_counts = _edge_counts(edges, levels, record,
-                                     index.per_edge_node)
+    index.edge_counts, classes = _edge_counts(edges, levels, record,
+                                              index.per_edge_node)
     index.super_edge_set = set(index.edge_counts)
-    index._adjacency = None
+    index._order = edges, classes
     return index
 
 
 def _edge_counts(edges, levels, record, class_of):
-    """Butterfly justification count of every super edge, bloom by bloom."""
-    classes = [class_of.get(e, 0) for e in edges]
+    """Butterfly justification count of every super edge, bloom by bloom,
+    and the class of each edge of `edges` (0 for none)."""
+    classes = list(map(class_of.get, edges, repeat(0)))
     counts = {}
     for run in _runs(*record):
         add_bloom(counts, run, levels, classes, 1)
-    return counts
+    return counts, classes
 
 
 def add_bloom(counts, run, level, cls, sign):
@@ -397,7 +420,8 @@ def rebuild_edge_counts(index, graph, decomp):
     if problems:
         raise InternalConsistencyError(
             f"index does not match graph: {problems[0]}")
-    counts = _edge_counts(*_by_id(graph, decomp), index.per_edge_node)
+    counts, _classes = _edge_counts(*_by_id(graph, decomp),
+                                    index.per_edge_node)
     if set(counts) != index.super_edge_set:
         raise InternalConsistencyError(
             "index super edges do not match the graph; was the index built "
@@ -410,8 +434,17 @@ def rebuild_edge_counts(index, graph, decomp):
 
 
 def _component_wings(index, seed_ids, k, counters):
+    """Walk each k-wing from the seeds and emit its edges in sorted order.
+    A wing of r edges from b nodes is emitted one of two ways. Given a kept
+    edge order of m edges with 3m <= r * b.bit_length(), one C-level filter
+    of the order by the wing's node ids, with no comparison. Otherwise its
+    nodes' presorted runs are concatenated and one `list.sort()` merges
+    them: Timsort does that in O(r log b) comparisons. The 3 is measured:
+    timing both emissions over node sets of the 52,587-edge reference
+    graph, the filter wins from r * b.bit_length() of about 2.7m up."""
     adj = index.adjacency()
     nodes = index.nodes
+    order = index._order
     visited = set()
     wings = []
     for sid in sorted(seed_ids):
@@ -419,22 +452,34 @@ def _component_wings(index, seed_ids, k, counters):
             continue
         stack = [sid]
         visited.add(sid)
-        members = []
+        wing = []
+        r = 0
         while stack:
             cur = stack.pop()
             node = nodes[cur]
             if counters is not None:
                 counters.visit(node)
-            members.extend(node.ordered())
+            wing.append(node)
+            r += len(node.members)
             for nb in adj[cur]:
                 if nb not in visited and nodes[nb].level >= k:
                     visited.add(nb)
                     stack.append(nb)
+        if (order is not None
+                and 3 * len(order[0]) <= r * len(wing).bit_length()):
+            ids = {node.sn_id for node in wing}
+            edges, classes = order
+            members = list(compress(edges, map(ids.__contains__, classes)))
+            emission = "filter"
+        else:
+            members = []
+            for node in wing:
+                members.extend(node.ordered())
+            members.sort()
+            emission = "merge"
         if counters is not None:
             counters.emit(len(members))
-        # a concatenation of presorted runs: Timsort merges them, in
-        # O(r log runs) rather than O(r log r)
-        members.sort()
+            counters.emissions.append(emission)
         wings.append(members)
     wings.sort(key=lambda w: w[0])
     return wings

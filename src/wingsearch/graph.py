@@ -86,6 +86,28 @@ class BipartiteGraph:
                     continue
                 yield (min(u, u2), max(u, u2), min(v, v2), max(v, v2))
 
+    def butterfly_others(self, u, v, intern):
+        """One flat list of the other three edges (u, v2), (u2, v), (u2, v2)
+        of each butterfly through (u, v), in the order of
+        `butterflies_of_edge`, read straight from the adjacency sets. Every
+        edge tuple is taken from the dict `intern`, so each edge is one
+        object across calls."""
+        vs = self.adj_u.get(u, frozenset())
+        out = []
+        add = out.append
+        get = intern.setdefault
+        for u2 in self.adj_v.get(v, ()):
+            if u2 == u:
+                continue
+            g2 = get((u2, v), (u2, v))
+            for v2 in vs & self.adj_u[u2]:
+                if v2 != v:
+                    g1, g3 = (u, v2), (u2, v2)
+                    add(get(g1, g1))
+                    add(g2)
+                    add(get(g3, g3))
+        return out
+
     def all_butterflies(self):
         """Yield every butterfly exactly once, canonical order."""
         us = sorted(self.adj_u)

@@ -507,6 +507,47 @@ class TestStats:
         assert "super_nodes 5\n" in out
         assert "compression_ratio 1.2\n" in out
 
+    def test_query_cost_lines(self, capsys, ew_path, ewc_path):
+        code, out, _ = run(capsys, "stats", "--index", str(ew_path))
+        assert code == 0
+        cost = [line for line in out.splitlines()
+                if line.startswith("# ") and "time" not in line]
+        assert cost == [
+            "# largest_class 6 level 4 members 9",
+            "# members p50 2 p90 9 max 9",
+            "# biggest_wing level 1 edges 25",
+            "# biggest_wing level 2 edges 22",
+            "# biggest_wing level 3 edges 11",
+            "# biggest_wing level 4 edges 9",
+        ]
+        code, out, _ = run(capsys, "stats", "--index", str(ewc_path))
+        assert "# members p50 3 p90 9 max 9" in out.splitlines()
+
+    @pytest.mark.parametrize("comp", [False, True])
+    def test_biggest_wing_is_the_largest_answer(self, capsys, tmp_path, comp):
+        from wingsearch import compress, query_equiwing
+
+        g = BipartiteGraph()
+        for u, v in generate_bipartite(24, 24, 0.1, 4,
+                                       [(7, 7, 0.9), (5, 5, 0.9)]):
+            g.insert_edge(u, v)
+        index = build_equiwing(g, wing_decomposition(g))
+        if comp:
+            index = compress(index)
+        path = tmp_path / "g.ew"
+        path.write_text(serialize(index))
+        code, out, _ = run(capsys, "stats", "--index", str(path))
+        assert code == 0
+        got = {int(line.split()[3]): int(line.split()[5])
+               for line in out.splitlines()
+               if line.startswith("# biggest_wing")}
+        labels = sorted(g.adj_u) + sorted(g.adj_v)
+        assert got == {
+            level: max(len(w) for q in labels
+                       for w in query_equiwing(index, q, level))
+            for level in index.level_histogram()
+        }
+
 
 class TestBench:
     def test_small_run_shape(self, capsys, fig2_path):

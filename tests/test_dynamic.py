@@ -72,7 +72,8 @@ def fig2_state(fig2_graph):
 
 
 class CountingGraph(BipartiteGraph):
-    """Counts butterfly enumerations: `butterflies_of_edge` calls."""
+    """Counts butterfly enumerations: `butterflies_of_edge` and
+    `butterfly_others` calls."""
 
     calls = 0
 
@@ -80,9 +81,14 @@ class CountingGraph(BipartiteGraph):
         self.calls += 1
         return super().butterflies_of_edge(u, v)
 
+    def butterfly_others(self, u, v, intern):
+        self.calls += 1
+        return super().butterfly_others(u, v, intern)
+
 
 class RecordingGraph(BipartiteGraph):
-    """Records the edge of every `butterflies_of_edge` call in `read`."""
+    """Records the edge of every butterfly enumeration, a
+    `butterflies_of_edge` or `butterfly_others` call, in `read`."""
 
     def __init__(self, edges=()):
         super().__init__()
@@ -93,6 +99,10 @@ class RecordingGraph(BipartiteGraph):
     def butterflies_of_edge(self, u, v):
         self.read.append((u, v))
         return super().butterflies_of_edge(u, v)
+
+    def butterfly_others(self, u, v, intern):
+        self.read.append((u, v))
+        return super().butterfly_others(u, v, intern)
 
 
 def chain_edges(n):
@@ -311,15 +321,19 @@ class TestApplyInsert:
     def test_work_is_about_one_enumeration_per_edge(self, square):
         """Inserting e = (a_i, b_i+2) into the square chain closes three
         butterflies and sets the bound to 3, above every wing number, so
-        every edge of the chain may rise and is evaluated. A drop re-queues
-        a neighbour only when it crosses the neighbour's value, which the
-        chain allows only next to e: about one enumeration per edge."""
+        most edges of the chain have a cap above their value. The walk takes
+        one in only next to an evaluation that stays above both old values,
+        which the chain allows only near e, and a drop re-queues a
+        neighbour only when it crosses the neighbour's value: a few
+        evaluations and about one enumeration per edge they read, not one
+        per chain edge."""
         g, d, index = square_chain()
         report = apply_update(
             g, d, index, "insert", f"a{square:03}", f"b{square + 2:03}"
         )
         assert report.upper_bound == 3
-        assert g.calls <= g.num_edges + 10
+        assert report.counters["evaluations"] <= 20
+        assert g.calls <= report.counters["evaluations"] + 1
         assert_matches_scratch(g, d, index)
 
     def test_block_does_not_pull_in_the_fringe(self):

@@ -6,11 +6,14 @@ import oracles
 from wingsearch import (
     BipartiteGraph,
     QueryCounters,
+    SuperNode,
     apply_update,
+    apply_update_comp,
     baseline_search,
     build_equiwing,
     compress,
     deserialize,
+    deserialize_comp,
     generate_bipartite,
     query_equiwing,
     rebuild_edge_counts,
@@ -321,6 +324,116 @@ class TestQueries:
         # each result edge emitted exactly once
         flat = [e for w in wings for e in w]
         assert counters.emitted_edges == len(flat) == len(set(flat))
+
+
+def all_answers(g, index, k_max):
+    """Every vertex's answer at every k from 1 to k_max + 1."""
+    return {(q, k): query_equiwing(index, q, k)
+            for q in sorted(g.adj_u) + sorted(g.adj_v)
+            for k in range(1, k_max + 2)}
+
+
+# planted-block graphs: a sparse random graph with one or two dense blocks
+PLANTED = [(18, 18, 0.12, seed, [(6, 6, 0.9), (5, 5, 0.85)][:1 + seed % 2])
+           for seed in (2, 5, 8)]
+
+
+class TestEdgeOrder:
+    """A fresh build and its compression keep the build's edge order and
+    emit a large wing by filtering it; every other index merges its nodes'
+    sorted runs. Both emissions must give the same answers."""
+
+    @pytest.mark.parametrize("spec", PLANTED)
+    def test_fresh_build_answers_as_its_loaded_twin(self, spec):
+        g, d, index = built_index(generate_bipartite(*spec))
+        comp = compress(index)
+        twins = (deserialize(serialize(index)),
+                 deserialize_comp(serialize(comp)))
+        assert index._order is not None and comp._order is not None
+        assert index._order[0] is comp._order[0]
+        assert all(t._order is None for t in twins)
+        want = {(q, k): baseline_search(g, d, q, k)
+                for q, k in all_answers(g, index, d.k_max)}
+        for ix in (index, comp, *twins):
+            assert all_answers(g, ix, d.k_max) == want
+
+    @pytest.mark.parametrize("spec", PLANTED)
+    def test_updates_answer_as_a_scratch_build(self, spec):
+        g, d, index = built_index(generate_bipartite(*spec))
+        comp = compress(index)
+        # wing number 0 edges: an insert that closes no butterfly and a
+        # delete of an edge in none leave every class as it was
+        lone = next(e for e in g.sorted_edges() if not d.support[e])
+        block = max(d.wing_number, key=d.wing_number.get)
+        for kind, (u, v), untouched in (
+                ("insert", ("a-new", "b-new"), True),
+                ("delete", lone, True),
+                ("delete", block, False)):
+            report, new_comp = apply_update_comp(g, d, index, comp, kind,
+                                                 u, v)
+            assert (new_comp is comp) is untouched
+            assert (index._order is not None) is untouched
+            assert (new_comp._order is not None) is untouched
+            comp = new_comp
+            assert index.validate(d.wing_number) == [] == comp.validate()
+            scratch = wing_decomposition(build(g.sorted_edges()))
+            assert scratch.wing_number == d.wing_number
+            rebuilt = build_equiwing(build(g.sorted_edges()), scratch)
+            want = all_answers(g, rebuilt, scratch.k_max)
+            assert all_answers(g, index, scratch.k_max) == want, kind
+            assert all_answers(g, comp, scratch.k_max) == want, kind
+
+    def test_any_node_change_drops_the_order(self):
+        _g, _d, index = built_index(generate_bipartite(*PLANTED[0]))
+        index.remove_node(max(index.nodes))
+        assert index._order is None
+        _g, _d, index = built_index(generate_bipartite(*PLANTED[0]))
+        index.add_node(SuperNode(index.alloc_id(), 1, [("a-new", "b-new")]))
+        assert index._order is None
+
+    def test_emission_follows_the_answer_size(self):
+        g, d, index = built_index(
+            generate_bipartite(40, 40, 0.15, 7, [(8, 8, 0.95)]))
+        comp = compress(index)
+        top = max(d.wing_number, key=d.wing_number.get)
+        level = d.wing_number[top]
+        for ix in (index, comp):
+            counters = QueryCounters()
+            (giant,) = query_equiwing(ix, top[0], 2, counters)
+            assert len(giant) > 0.8 * len(ix._order[0])
+            assert counters.emissions == ["filter"]
+            counters = QueryCounters()
+            (wing,) = query_equiwing(ix, top[0], level, counters)
+            assert counters.emissions == ["merge"]
+            loaded = deserialize(serialize(ix)) if ix is index else \
+                deserialize_comp(serialize(ix))
+            counters = QueryCounters()
+            assert query_equiwing(loaded, top[0], 2, counters) == [giant]
+            assert counters.emissions == ["merge"]
+
+    def test_validate_checks_a_kept_order(self):
+        g, d, index = built_index(generate_bipartite(*PLANTED[0]))
+        edges, classes = index._order
+        assert index.validate(d.wing_number) == []
+        classed = next(i for i, c in enumerate(classes) if c)
+        unclassed = next(i for i, c in enumerate(classes) if not c)
+        other = next(s for s in index.nodes if s != classes[classed])
+        swapped = edges[:]
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        bad = [
+            (swapped, classes),
+            (edges + edges[-1:], classes + classes[-1:]),
+            (edges, classes[:-1]),
+        ]
+        for i, c in ((classed, 0), (classed, other), (unclassed, other)):
+            wrong = classes[:]
+            wrong[i] = c
+            bad.append((edges, wrong))
+        for order in bad:
+            index._order = order
+            assert index.validate()
+        index._order = edges, classes
+        assert index.validate(d.wing_number) == []
 
 
 class TestSerialization:

@@ -159,6 +159,27 @@ class TestButterflies:
                     assert sorted(got) == sorted(want), (u, v)
             assert g.sorted_edges() == sorted(edges)
 
+    def test_butterfly_others_flattens_butterflies_of_edge(self, rng):
+        """The other three edges of each butterfly through (u, v), in
+        `butterflies_of_edge` order, one object per edge across calls; for
+        present and absent edges alike."""
+        for _ in range(10):
+            edges = random_bipartite_edges(rng, 7, 7, 0.45)
+            g = BipartiteGraph()
+            for u, v in edges:
+                g.insert_edge(u, v)
+            intern = {}
+            for u in (f"a{i}" for i in range(8)):
+                for v in (f"b{j}" for j in range(8)):
+                    want = []
+                    for b in g.butterflies_of_edge(u, v):
+                        u2 = b[1] if b[0] == u else b[0]
+                        v2 = b[3] if b[2] == v else b[2]
+                        want += [(u, v2), (u2, v), (u2, v2)]
+                    got = g.butterfly_others(u, v, intern)
+                    assert got == want, (u, v)
+                    assert all(intern[f] is f for f in got)
+
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     p = tmp_path / "out.txt"
