@@ -21,6 +21,7 @@ from .equiwing import (
     COMP_FORMAT_HEADER,
     FORMAT_HEADER,
     build_equiwing,
+    check_comp,
     deserialize,
     deserialize_comp,
     query_equiwing,
@@ -117,25 +118,6 @@ def _print_wings(wings, fmt):
             lines.append(f"wing {i} size {len(wing)}\n")
             lines.extend(f"{u} {v}\n" for u, v in wing)
     sys.stdout.write("".join(lines))
-
-
-def _check_comp(comp, index):
-    """Raise unless each node of the compressed file `comp` is the union of
-    whole classes of `index`, a fresh build, at the node's level, and the
-    nodes class every edge the build does. Classes are disjoint, so those
-    whose sizes sum to the node's size make up the node."""
-    nodes, class_of = index.nodes, index.per_edge_node
-    for node in comp.nodes.values():
-        ids = {class_of.get(e) for e in node.members}
-        if (None in ids or any(nodes[s].level != node.level for s in ids)
-                or sum(len(nodes[s].members) for s in ids)
-                != len(node.members)):
-            raise InternalConsistencyError(
-                f"compressed index does not match graph: node {node.sn_id} "
-                "is not a union of classes at its level")
-    if len(comp.per_edge_node) != len(class_of):
-        raise InternalConsistencyError(
-            "compressed index does not match graph: it leaves classes out")
 
 
 def _load_graph(path):
@@ -246,7 +228,7 @@ def cmd_update(args):
         # the file's merge log names ids of the build that wrote it, so
         # updates run on this build's index, compressed once at the end
         loaded, index = index, build_equiwing(graph, decomp)
-        _check_comp(loaded, index)
+        check_comp(loaded, index, decomp)
     else:
         rebuild_edge_counts(index, graph, decomp)
     print(f"# check time {time.perf_counter() - t0:.6f}s")

@@ -20,18 +20,20 @@ all have wing number >= k. Consequences used here:
   edge's butterflies' minima; from any start at or above the true new wing
   numbers this reaches them, the greatest fixpoint below the start.
 
-Both kinds share one path and one order: take the butterflies through e'
-(those it closes, or the dying ones), apply e', then find the scope on the
-graph it leaves. One count, how many of those butterflies each other edge
-lies in, gives delta, the support patch and an insert's start values. An
-insert starts at e' alone. It takes in an edge g only when an evaluation
+Both kinds share one path and one order: read the butterflies through e'
+once (those it closes, or the dying ones), as the flat list of their other
+three edges that the walk reads for every edge, apply e', then find the
+scope on the graph it leaves. One count, how many of those butterflies
+each other edge lies in, gives delta, the support patch and an insert's
+start values; one counted h-index, `_h_index`, gives the bound's l and
+every evaluation of the walk. An insert starts at e' alone, its
+butterflies already read. It takes in an edge g only when an evaluation
 of a butterfly neighbour f leaves f, and g's cap, above both old values:
 the cap is the least of the bound, g's new support and w(g) + delta. By
 the two insert facts these are the only edges that can rise. A delete
 starts at the old values, which hold but on the dying butterflies: it seeds
 their edges and takes in another edge only when a neighbour's drop crosses
-its value. Either walk enumerates each edge's butterflies once and counts
-their minima without a sort.
+its value. Either walk enumerates each edge's butterflies once.
 The scope's classes are those of e' and of the changed edges, the classes a
 created or dying butterfly chains, and on a delete the classes at the old
 minimum of each butterfly whose minimum drops: only there can a delete
@@ -58,16 +60,16 @@ from .errors import (
     InvalidArgumentError,
     UnknownEdgeError,
 )
-from .graph import BipartiteGraph, butterfly_edges
+from .graph import BipartiteGraph
 
 
-def _h_index(values):
-    h = 0
-    for i, v in enumerate(sorted(values, reverse=True), start=1):
-        if v >= i:
-            h = i
-        else:
-            break
+def _h_index(capped, top):
+    """The largest t with at least t values >= t, over values no greater
+    than `top`, given as a Counter `capped` of them: counted, not sorted."""
+    h, seen = top, capped[top]
+    while seen < h:
+        h -= 1
+        seen += capped[h]
     return h
 
 
@@ -124,22 +126,6 @@ class UpdateReport:
         return out
 
 
-def _others(butterflies, f, intern):
-    """One flat list of the other three edges of each of `butterflies`,
-    canonical butterflies through f, as `BipartiteGraph.butterfly_others`
-    gives it; every edge tuple is taken from `intern`."""
-    u, v = f
-    out = []
-    add = out.append
-    get = intern.setdefault
-    for a1, a2, b1, b2 in butterflies:
-        u2 = a2 if a1 == u else a1
-        v2 = b2 if b1 == v else b1
-        for g in ((u, v2), (u2, v), (u2, v2)):
-            add(get(g, g))
-    return out
-
-
 class _Values(dict):
     """The value each edge counts at in a walk: its walk value, or for an
     edge outside the walk `outside(edge)`, filled in when first read."""
@@ -153,15 +139,15 @@ class _Values(dict):
         return v
 
 
-def _fixpoint(graph, wn, up, cap=None, known=()):
+def _fixpoint(graph, wn, up, memo, cap=None):
     """Lower `up` values to the greatest fixpoint of the locality operator
-    below their start. Returns the memo, edge -> its flat list of
-    `graph.butterfly_others`, the values, edge -> the value it counts at
-    (the walk's for an edge in `up`), and the walk's work counters. Each
-    edge's butterflies are enumerated once per walk, or taken from `known`
-    (edge, butterflies) pairs, and kept in the memo. An evaluation of f from
-    `old` counts the minima of its butterflies capped at old, with no sort,
-    and gives val = min(old, h-index). A drop from old to val queues each
+    below their start. `memo`, edge -> its flat list of
+    `graph.butterfly_others`, holds what the caller has read already, and
+    each other edge's butterflies are enumerated once per walk into it.
+    Returns the memo, the values, edge -> the value it counts at (the
+    walk's for an edge in `up`), and the walk's work counters. An
+    evaluation of f from `old` gives val, the `_h_index` of its
+    butterflies' minima capped at old. A drop from old to val queues each
     butterfly neighbour in the walk whose value v has val < v <= old: only
     such a drop costs it a butterfly whose minimum reaches v. No floor is
     needed: the iterates never fall below the true new values.
@@ -196,7 +182,6 @@ def _fixpoint(graph, wn, up, cap=None, known=()):
     g at max(w(g), cap(g)) gives the same val as the rule. The walk does
     that, so the value an edge counts at does not depend on who reads it."""
     intern = {}
-    memo = {f: _others(bs, f, intern) for f, bs in known}
     risers = {}  # an outside edge whose cap exceeds w -> w
 
     def outside(g):
@@ -229,11 +214,7 @@ def _fixpoint(graph, wn, up, cap=None, known=()):
         scanned += len(others) // 3
         top = min(old, len(others) // 3)
         it = map(get, others)
-        counts = Counter(map(min, it, it, it, repeat(top)))
-        val, seen = top, counts[top]  # the largest t with t minima >= t
-        while seen < val:
-            val -= 1
-            seen += counts[val]
+        val = _h_index(Counter(map(min, it, it, it, repeat(top))), top)
         if risers and val > wf:
             for g in filter(risers.__contains__, others):
                 if risers[g] < val and value[g] > wf:
@@ -259,9 +240,10 @@ def _fixpoint(graph, wn, up, cap=None, known=()):
 
 def _start(graph, wn, kind, u, v):
     """Check the request and open its report, bound and delta filled in.
-    Returns it with the butterflies the update creates or destroys, taken
-    before the edge is applied, and their `gain`: edge f != e -> how many
-    of them f lies in."""
+    Returns it with `through`, the butterflies the update creates or
+    destroys, taken before the edge is applied as the flat list of their
+    other three edges that `graph.butterfly_others` gives, and their
+    `gain`: edge f != e -> how many of them f lies in."""
     e = (u, v)
     if kind == "insert":
         if graph.has_edge(u, v):
@@ -270,56 +252,49 @@ def _start(graph, wn, kind, u, v):
         raise InvalidArgumentError(f"unknown update kind {kind!r}")
     elif not graph.has_edge(u, v):
         raise UnknownEdgeError(f"edge ({u}, {v}) not in graph")
-    through = list(graph.butterflies_of_edge(u, v))
-    gain = {}
-    for b in through:
-        for f in butterfly_edges(b):
-            if f != e:
-                gain[f] = gain.get(f, 0) + 1
+    through = graph.butterfly_others(u, v, {})
+    gain = Counter(through)
     if kind == "delete":
         return UpdateReport(kind, e, wn.get(e, 0), None), through, gain
     delta = max(gain.values(), default=0)
-    mins = [min(wn.get(f, 0) for f in butterfly_edges(b) if f != e)
-            for b in through]
-    return UpdateReport(kind, e, _h_index(mins) + delta, delta), through, gain
+    top = len(through) // 3
+    it = map(wn.get, through, repeat(0))
+    l = _h_index(Counter(map(min, it, it, it, repeat(top))), top)
+    return UpdateReport(kind, e, l + delta, delta), through, gain
 
 
 def _scope(graph, decomp, index, report, through, gain):
     """Fill in the report's scope on `graph`, which the update has already
-    changed; `through` holds the butterflies it created or destroyed, and
-    `gain` how many of them each other edge lies in. `decomp` is read, as
-    it was before the update."""
+    changed; `through` holds the other three edges of each butterfly it
+    created or destroyed, and `gain` how many of them each edge lies in.
+    `decomp` is read, as it was before the update."""
     wn = decomp.wing_number
     e = report.edge
-    p = report.upper_bound
-
-    def level(f):  # e counts at the bound on insert, at w(e) on delete
-        return p if f == e else wn.get(f, 0)
+    p = report.upper_bound  # e's level: the bound on insert, w(e) on delete
 
     # a butterfly seeds the class of each other edge x that it chains: one
-    # whose level is at least 1 and at most the minimum of the other three
+    # whose level is at least 1 and at most the minimum of the other three,
+    # e's among them, so x is at its trio's minimum and that is at most p
     seeds = {index.per_edge_node.get(e)}
-    for b in through:
-        es = butterfly_edges(b)
-        for x in es:
-            if x != e and 1 <= level(x) <= min(level(f) for f in es if f != x):
-                seeds.add(index.per_edge_node.get(x))
+    it = iter(through)
+    for trio in zip(it, it, it):
+        low = min(map(wn.get, trio, repeat(0)))
+        if 1 <= low <= p:
+            seeds.update(index.per_edge_node.get(x) for x in trio
+                         if wn.get(x, 0) == low)
 
     if report.kind == "insert":
-        up = {e: min(p, len(through))}
+        up = {e: min(p, len(through) // 3)}
+        memo = {e: through}  # the butterflies e closes
         delta = report.delta
 
-        known = [(e, through)]  # the butterflies e closes
-
         def cap(g):  # the bound, g's new support and fact (a)
-            return min(p, decomp.support[g] + gain.get(g, 0),
-                       wn.get(g, 0) + delta)
+            return min(p, decomp.support[g] + gain[g], wn.get(g, 0) + delta)
     else:
         # the old values hold everywhere but on the dying butterflies
-        up = {y: wn[y] for b in through for y in butterfly_edges(b)
-              if y != e and 1 <= wn.get(y, 0) <= p}
-        cap, known = None, ()
-    memo, value, report.counters = _fixpoint(graph, wn, up, cap, known)
+        up = {y: wn[y] for y in through if 1 <= wn.get(y, 0) <= p}
+        memo, cap = {}, None
+    memo, value, report.counters = _fixpoint(graph, wn, up, memo, cap)
 
     changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
     seeds.update(index.per_edge_node.get(f) for f in changed)
@@ -345,11 +320,10 @@ def _scope(graph, decomp, index, report, through, gain):
         affected |= index.nodes[sid].members
     report.affected_nodes = seeds
     report.affected_edges = affected
-    for f in affected:
-        old = wn.get(f, 0)
-        new = up.get(f, 0 if f == e else old)  # a deleted e drops to 0
-        if old != new:
-            report.changed[f] = (old, new)
+    report.changed = {f: (wn[f], up[f]) for f in changed}
+    old, new = wn.get(e, 0), up.get(e, 0)  # a deleted e drops to 0
+    if old != new:
+        report.changed[e] = (old, new)
 
 
 def affected_edges(graph, decomp, index, kind, u, v):
@@ -464,7 +438,12 @@ def apply_update(graph, decomp, index, kind, u, v):
     index in place; the decomposition's bloom record, which no longer
     holds, is dropped; an index loaded without counts is checked by
     `rebuild_edge_counts` first. Returns the UpdateReport that
-    `affected_edges` would give, widened by the surgery."""
+    `affected_edges` would give, widened by the surgery. A compressed index
+    is refused before anything changes: update the plain one and compress
+    it afterwards, as `apply_update_comp` does."""
+    if index.merge_log is not None:
+        raise InvalidArgumentError(
+            "apply_update needs a plain index, not a compressed one")
     wn = decomp.wing_number
     report, through, gain = _start(graph, wn, kind, u, v)
     e = report.edge
@@ -485,7 +464,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     for f, (_old, new) in report.changed.items():
         wn[f] = new
     if insert:
-        decomp.support[e] = len(through)
+        decomp.support[e] = len(through) // 3
         wn.setdefault(e, 0)
     else:
         decomp.support.pop(e, None)

@@ -430,6 +430,23 @@ def rebuild_edge_counts(index, graph, decomp):
     index.edge_counts = counts
 
 
+def check_comp(comp, index, decomp):
+    """Raise unless the compressed index `comp` describes the graph whose
+    decomposition is `decomp` and whose fresh build is `index`: it passes
+    `comp.validate(decomp.wing_number)`, and the classes of `index` that
+    each node's members fall in, which are disjoint, sum to the node's
+    size, so every node is a union of whole classes."""
+    nodes, class_of = index.nodes, index.per_edge_node
+    problems = comp.validate(decomp.wing_number) or [
+        f"node {n.sn_id} is not a union of classes"
+        for n in comp.nodes.values()
+        if sum(len(nodes[s].members) for s in {*map(class_of.get, n.members)})
+        != len(n.members)]
+    if problems:
+        raise InternalConsistencyError(
+            f"compressed index does not match graph: {problems[0]}")
+
+
 # -- queries ---------------------------------------------------------------
 
 
@@ -572,11 +589,16 @@ def _read(text, header, what):
         pos += 1
         return values
 
+    def count(keyword):
+        (n,) = ints(keyword, 1)
+        if n < 0:
+            raise IndexFormatError(f"{what}: line {pos}: negative {keyword}")
+        return n
+
     comp = header == COMP_FORMAT_HEADER
     (k_max,) = ints("kmax", 1)
-    (n_nodes,) = ints("nodes", 1)
-    (n_edges,) = ints("edges", 1)
-    (n_merges,) = ints("merges", 1) if comp else (0,)
+    n_nodes, n_edges = count("nodes"), count("edges")
+    n_merges = count("merges") if comp else 0
     index = EquiWingIndex()
     section = None
     for _ in range(n_nodes):
@@ -607,6 +629,8 @@ def _read(text, header, what):
     for _ in range(n_edges):
         a, b = ints("sedge", 2)
         index.super_edge_set.add((min(a, b), max(a, b)))
+    if len(index.super_edge_set) != n_edges:
+        raise IndexFormatError(f"{what}: a super edge is listed twice")
     if comp:
         index.merge_log = [tuple(ints("M", 2)) for _ in range(n_merges)]
     if pos != len(lines):

@@ -24,6 +24,7 @@ from wingsearch import (
     wing_decomposition,
     wing_upper_bound,
 )
+from wingsearch.dynamic import _h_index
 from wingsearch.errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -182,6 +183,48 @@ class TestBoundHelpers:
                 old = d.wing_number.get(f, 0)
                 if new != old:
                     assert new <= bound, (f, old, new, bound)
+
+    def test_bound_is_l_plus_delta_on_random_inserts(self, rng):
+        """The bound's value, not only its soundness: l, the h-index of
+        the new butterflies' minimum old wing numbers, plus delta, the most
+        new butterflies one edge gains, both from the oracle."""
+        checked = 0
+        for _ in range(30):
+            edges = random_bipartite_edges(rng, 8, 8, 0.4)
+            g = build(edges)
+            absent = [(u, v) for u in sorted(g.adj_u) for v in sorted(g.adj_v)
+                      if not g.has_edge(u, v)]
+            if not absent:
+                continue
+            e = rng.choice(absent)
+            d = wing_decomposition(g)
+            wn = d.wing_number
+            new = butterflies_through(e, edges + [e])
+            mins = sorted((min(wn[f] for f in butterfly_edges(b) if f != e)
+                           for b in new), reverse=True)
+            l = max((i for i, m in enumerate(mins, 1) if m >= i), default=0)
+            gained = Counter(f for b in new for f in butterfly_edges(b)
+                             if f != e)
+            delta = max(gained.values(), default=0)
+            assert wing_upper_bound(g, d, *e) == l + delta, e
+            assert compute_delta(g, *e) == delta, e
+            checked += l > 0
+        assert checked >= 10
+
+    def test_h_index_counts_as_a_sort_would(self):
+        """`_h_index` over a Counter of values capped at `top` against the
+        sort-based definition, empty lists and values at `top` included."""
+        r = random.Random(17)
+        cases = [([], 0), ([], 4), ([0, 0], 0), ([3, 3, 3], 3), ([5], 5)]
+        for _ in range(300):
+            top = r.randint(0, 10)
+            cases.append(([r.randint(0, top) for _ in range(r.randint(0, 14))],
+                          top))
+        for values, top in cases:
+            ranked = sorted(values, reverse=True)
+            expected = max((i for i, x in enumerate(ranked, 1) if x >= i),
+                           default=0)
+            assert _h_index(Counter(values), top) == expected, (values, top)
 
 
 class TestScope:
@@ -618,6 +661,27 @@ class TestFallbackValve:
         after = g.sorted_edges(), d.wing_number, d.support, d.bloom_runs
         assert after == before
         assert serialize(loaded) == text and loaded.edge_counts is None
+
+
+class TestCompressedIndexRefused:
+    def test_apply_update_changes_nothing(self):
+        """A compressed index has merged nodes that the surgery cannot
+        maintain: `apply_update` refuses it before the graph, the
+        decomposition or the index changes."""
+        g = build(generate_bipartite(30, 30, 0.15, 4, [(8, 8, 0.9)]))
+        d = wing_decomposition(g)
+        comp = compress(build_equiwing(g, d))
+        assert comp.merge_log
+        text = serialize(comp)
+        before = (g.sorted_edges(), dict(d.wing_number), dict(d.support),
+                  d.bloom_runs)
+        e = random.Random(4).choice(g.sorted_edges())
+        for kind, (u, v) in (("delete", e), ("insert", ("a0", "b-new"))):
+            with pytest.raises(InvalidArgumentError, match="compressed"):
+                apply_update(g, d, comp, kind, u, v)
+            after = g.sorted_edges(), d.wing_number, d.support, d.bloom_runs
+            assert after == before
+            assert serialize(comp) == text and comp.validate() == []
 
 
 class TestRandomSequences:

@@ -5,8 +5,10 @@ or the internal-error exit 4.
 Cases: the file cut after every line, and for every body line (with the
 checksum recomputed, so the structure check is what has to catch it) the
 line duplicated, dropped, stripped of its values, or swapped with the next;
-then every byte flipped without resealing. Member lines out of order inside
-a node are not a malformation: the reader re-sorts them.
+then every byte flipped without resealing. A negative count in the header
+and a super edge listed twice, with the counts made to agree, are rejected
+too. Member lines out of order inside a node are not a malformation: the
+reader re-sorts them.
 """
 
 import hashlib
@@ -162,6 +164,43 @@ def test_member_listed_twice_is_rejected(layout):
     twice = body[:start + 2] + [body[start + 1]] + body[start + 3:]
     with pytest.raises(IndexFormatError, match="member edge twice"):
         read(seal(twice))
+
+
+def test_negative_count_is_rejected(layout, tmp_path):
+    """A header with no body lines and one negative count: the reader
+    raises, and `stats` and `query` exit 2. With every count 0 the same
+    file is a valid empty index."""
+    text, read = layout
+    body = body_of(text)
+    keys = [k for k in ("nodes", "edges", "merges")
+            if any(line.startswith(k + " ") for line in body)]
+    assert read(seal([body[0], "kmax 0"] + [f"{k} 0" for k in keys])).nodes == {}
+    path = tmp_path / "negative.idx"
+    for key in keys:
+        bad = seal([body[0], "kmax 0"]
+                   + [f"{k} {-2 if k == key else 0}" for k in keys])
+        with pytest.raises(IndexFormatError, match=f"negative {key}"):
+            read(bad)
+        path.write_text(bad)
+        assert cli("stats", "--index", str(path)) == 2, key
+        assert cli("query", "--index", str(path), "-q", "v5",
+                   "-k", "2") == 2, key
+
+
+def test_super_edge_listed_twice_is_rejected(layout):
+    """A repeated `sedge` line, as written or with its ends swapped, and an
+    `edges` count raised to match it."""
+    text, read = layout
+    body = body_of(text)
+    n = next(i for i, line in enumerate(body) if line.startswith("edges "))
+    i = next(i for i, line in enumerate(body) if line.startswith("sedge "))
+    a, b = body[i].split()[1:]
+    for twice in (body[i], f"sedge {b} {a}"):
+        lines = list(body)
+        lines[n] = f"edges {int(body[n].split()[1]) + 1}"
+        lines.insert(i + 1, twice)
+        with pytest.raises(IndexFormatError, match="listed twice"):
+            read(seal(lines))
 
 
 def flipped(data, i, mask):
