@@ -6,20 +6,21 @@ subgraph. Peeling processes edges in non-decreasing order of their current
 support with FIFO tie-breaking inside a bucket, clamping assigned values so
 they never decrease.
 
-The peel runs on integer edge ids, the positions in one `sorted_edges()`
-list, and on a bloom-edge index (Wang, Lin, Qin, Zhang, Zhang, ICDE 2020).
-The one `blooms()` pass that counts the supports also stores each bloom as a
-flat list of its live wedges, `[id(u1, x), id(u2, x), ...]`, and gives each
+The peel runs on integer edge ids, the positions in the sorted edge list
+that `graph.blooms()` returns, and on a bloom-edge index (Wang, Lin, Qin,
+Zhang, Zhang, ICDE 2020). `blooms()` gives each bloom as one flat run of
+wedge ids a0, b0, a1, b1, ..., where a_i is the id of (u1, x_i) and b_i that
+of (u2, x_i) for its common neighbours x_i. The pass that counts the
+supports keeps each run as the bloom's list of live wedges and gives each
 edge the list of blooms it lies in. Removing an edge deletes its wedge from
 each of its blooms; the butterflies it leaves are the twin edge `(u2, x)`
 paired with each remaining wedge, so no neighbour set is ever intersected.
 Both result dicts are keyed by the tuples of that one sorted list, so every
 later layer holds each edge as one tuple, created up front in sorted order.
 
-The same pass keeps an immutable record of the blooms for the index build
-(`bloom_runs`): each bloom as one flat run of wedge ids a0, b0, a1, b1, ...,
-where a_i is the id of (u1, x_i) and b_i that of (u2, x_i) for its common
-neighbours x_i. So a from-scratch rebuild enumerates the blooms once.
+The same pass copies the runs into an immutable record for the index build
+(`bloom_runs`), before the peel consumes them. So a from-scratch rebuild
+enumerates the blooms once, and no wedge is ever looked up by its labels.
 """
 
 from array import array
@@ -44,30 +45,22 @@ class WingDecomposition:
 
 
 def wing_decomposition(graph):
-    edges = graph.sorted_edges()
-    eid = {e: i for i, e in enumerate(edges)}
+    edges, runs = graph.blooms()
     # initial supports from blooms: each of a bloom's edges lies in
     # len(common) - 1 of its butterflies
     support = [0] * len(edges)
     blooms_of = [[] for _ in edges]
     wedges, ends = array("i"), array("i")
-    for u1, u2, common in graph.blooms():
-        c = len(common) - 1
-        bloom = []
-        for x in common:
-            a = eid[(u1, x)]
-            b = eid[(u2, x)]
-            support[a] += c
-            support[b] += c
-            blooms_of[a].append(bloom)
-            blooms_of[b].append(bloom)
-            bloom += (a, b)
+    for bloom in runs:
+        c = len(bloom) // 2 - 1
+        for e in bloom:
+            support[e] += c
+            blooms_of[e].append(bloom)
         wedges.extend(bloom)
         ends.append(len(wedges))
-    del eid
 
     cur = list(support)
-    buckets = [[] for _ in range(max(support, default=-1) + 1)]
+    buckets = [array("i") for _ in range(max(support, default=-1) + 1)]
     for e, s in enumerate(support):  # id order fixes the FIFO tie-break
         buckets[s].append(e)
 

@@ -14,9 +14,12 @@ classes within a level by their smallest member edge.
 Both build passes work per bloom, a left-vertex pair u1 < u2 with its
 common neighbours x_i, taken as one flat run of wedge keys a0, b0, a1, b1,
 ..., where a_i = (u1, x_i) and b_i = (u2, x_i). The build reads the runs of
-integer edge ids that the peel recorded (`WingDecomposition.bloom_runs`);
-updates pass runs of edge tuples to the same two kernels, `form_classes`
-and `add_bloom`.
+integer edge ids that the peel recorded (`WingDecomposition.bloom_runs`),
+or that `graph.blooms()` gives when there is no record; updates pass runs
+of edge tuples to the same two kernels, `form_classes` and `add_bloom`. A
+bloom of two wedges is one butterfly, which both kernels read straight from
+its four edges; a bloom whose edges meet at most one class adds no count,
+and `add_bloom` returns before it keys the bloom's neighbours.
 
 The index is label-based and self-sufficient: queries need only the index.
 Compression (see compress.py) yields the same structure plus a merge log;
@@ -108,13 +111,16 @@ class EquiWingIndex:
     def add_node(self, node):
         if node.sn_id in self.nodes:
             raise InternalConsistencyError(f"duplicate super node id {node.sn_id}")
-        self.nodes[node.sn_id] = node
-        self._next_id = max(self._next_id, node.sn_id + 1)
-        for e in node.members:
-            self.per_edge_node[e] = node.sn_id
-            u, v = e
-            self.vertex_seeds.setdefault(u, set()).add(node.sn_id)
-            self.vertex_seeds.setdefault(v, set()).add(node.sn_id)
+        sn_id = node.sn_id
+        self.nodes[sn_id] = node
+        self._next_id = max(self._next_id, sn_id + 1)
+        self.per_edge_node.update(dict.fromkeys(node.members, sn_id))
+        seeds = self.vertex_seeds
+        for label in {*chain.from_iterable(node.members)}:
+            if label in seeds:
+                seeds[label].add(sn_id)
+            else:
+                seeds[label] = {sn_id}
         self._adjacency = self._order = None
 
     def remove_node(self, sn_id):
@@ -265,12 +271,31 @@ def form_classes(index, runs, level, pool, edges=None):
     member."""
     class_of, nodes = index.per_edge_node, index.nodes
     parent = {e: e for e in pool}
+
+    def join(keys):  # union the keys, each as its class if it has one
+        first = None
+        for e in keys:
+            x = class_of.get(e, e)
+            root = parent.setdefault(x, x)
+            if parent[root] != root:
+                root = find_root(parent, x)
+            if first is None:
+                first = root
+            elif root != first:
+                parent[root] = first
+
     # a butterfly unions its min-level edges. In a bloom, the butterfly
     # {x, y} has minimum min(w_x, w_y), where w_x is the lower level of x's
     # two edges, so the level-m edges of every x with w_x = m fall in one
     # class, unless x is alone at the bloom's top level: then each of its
     # butterflies has its minimum on the other vertex
     for run in runs:
+        if len(run) == 4:  # one butterfly: union its min-level edges
+            w = list(map(level.__getitem__, run))
+            m = min(w)
+            if m >= 1 and w.count(m) >= 2:
+                join(compress(run, map(m.__eq__, w)))
+            continue
         at = {}  # w_x -> the level-w_x edges of each such x
         it = iter(run)
         for e1, e2 in zip(it, it):
@@ -287,16 +312,7 @@ def form_classes(index, runs, level, pool, edges=None):
         for m, xs in at.items():
             if len(xs) == 1 and (m == top or len(xs[0]) == 1):
                 continue
-            first = None
-            for es in xs:
-                for e in es:
-                    x = class_of.get(e, e)
-                    parent.setdefault(x, x)
-                    root = find_root(parent, x)
-                    if first is None:
-                        first = root
-                    elif root != first:
-                        parent[root] = first
+            join(chain.from_iterable(xs))
 
     groups, joined = {}, {}
     for x in parent:
@@ -327,18 +343,15 @@ def form_classes(index, runs, level, pool, edges=None):
 def _by_id(graph, decomp):
     """(edges, levels, record): the edges in id order, their wing numbers
     and the bloom record as `WingDecomposition.bloom_runs` holds it. Given
-    a decomposition with no record, the ids are positions in the graph's
-    sorted edges and the blooms are enumerated here, once."""
+    a decomposition with no record, the ids and runs are those of one
+    `graph.blooms()` call."""
     wn = decomp.wing_number
     if decomp.bloom_runs is not None:
         return list(wn), list(wn.values()), decomp.bloom_runs
-    edges = graph.sorted_edges()
-    eid = {e: i for i, e in enumerate(edges)}
+    edges, runs = graph.blooms()
     wedges, ends = array("i"), array("i")
-    for u1, u2, common in graph.blooms():
-        for x in common:
-            wedges.append(eid[(u1, x)])
-            wedges.append(eid[(u2, x)])
+    for run in runs:
+        wedges.extend(run)
         ends.append(len(wedges))
     return edges, [wn.get(e, 0) for e in edges], (wedges, ends)
 
@@ -389,6 +402,21 @@ def add_bloom(counts, run, level, cls, sign):
     butterflies between two keys then contribute the same pairs, with `a`
     taken from the lower key: n_i * n_j of them, or C(n, 2) within a key.
     """
+    classes = {*map(cls.__getitem__, run)}
+    classes.discard(0)
+    if len(classes) < 2:
+        return  # every pair joins two distinct classes of the bloom
+    if len(run) == 4:  # one butterfly, whose lower key has the least (w, a)
+        e1, e2, f1, f2 = run
+        w1, w2, w3, w4 = level[e1], level[e2], level[f1], level[f2]
+        w, a = min((w1, cls[e1]) if w1 <= w2 else (w2, cls[e2]),
+                   (w3, cls[f1]) if w3 <= w4 else (w4, cls[f2]))
+        if w >= 1 and a:
+            for d in classes:
+                if d != a:
+                    pair = (a, d) if a < d else (d, a)
+                    counts[pair] = counts.get(pair, 0) + sign
+        return
     keys = {}
     it = iter(run)
     for e1, e2 in zip(it, it):

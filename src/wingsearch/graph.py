@@ -6,8 +6,9 @@ may appear on both sides and names two different vertices. Edges are
 
 A butterfly is a 2x2 biclique: vertices {u, u2} x {v, v2}, four edges, all
 distinct. Canonical form is (u1, u2, v1, v2) with u1 < u2 and v1 < v2. A
-bloom folds the butterflies of one U pair: (u1, u2, common) with u1 < u2 and
-at least two common neighbours.
+bloom folds the butterflies of one U pair u1 < u2 with at least two common
+neighbours; `blooms()` gives each as a run of integer edge ids, positions in
+the sorted edge list, so whole-graph passes never build an edge tuple.
 """
 
 import os
@@ -125,28 +126,69 @@ class BipartiteGraph:
                             yield (u1, u2, common[a], common[b])
 
     def blooms(self):
-        """Yield (u1, u2, common) for every U pair u1 < u2 with at least two
-        common neighbours, from one pass over each u1's wedges.
+        """(edges, runs): the sorted edge list, and every U pair u1 < u2
+        with at least two common neighbours x_0 < x_1 < ... as its bloom,
+        one flat run of wedge ids a0, b0, a1, b1, ..., where a_i is the
+        position in `edges` of (u1, x_i) and b_i that of (u2, x_i).
 
         A bloom is the 2 x c biclique of the pair and its c common
         neighbours: it holds c(c-1)/2 butterflies, and each of its 2c edges
         lies in c-1 of them. Folding butterflies into blooms lets whole-graph
-        passes run in wedges plus blooms rather than butterflies. `common`
-        is a list in no particular order.
-        """
-        adj_u, adj_v = self.adj_u, self.adj_v
-        for u1 in sorted(adj_u):
-            wedges = {}  # u2 -> the v closing a wedge u1-v-u2
-            for v in adj_u[u1]:
-                for u2 in adj_v[v]:
-                    if u2 > u1:
-                        if u2 in wedges:
-                            wedges[u2].append(v)
-                        else:
-                            wedges[u2] = [v]
-            for u2, common in wedges.items():
-                if len(common) >= 2:
-                    yield u1, u2, common
+        passes run in wedges plus blooms rather than butterflies.
+
+        `runs` is a generator, read once, of new lists that the caller may
+        keep and change. Each right vertex x has a column, its edge ids in
+        ascending u, and one cursor into it; walking the edges in order,
+        edge (u1, x) is next in x's column, and the ids after it close
+        every wedge u1 - x - u2 with u2 > u1, so each wedge is read once.
+        The runs come by u1, then by u2's first wedge, in an order that
+        does not depend on the hash seed."""
+        edges = self.sorted_edges()
+        return edges, _bloom_runs(edges)
+
+
+def _bloom_runs(edges):
+    col = {}  # v label -> its edge ids in ascending u
+    rank = []  # edge id -> the rank of its u among the left vertices
+    r, u1 = -1, None
+    for j, (u, x) in enumerate(edges):
+        if u != u1:
+            r, u1 = r + 1, u
+        rank.append(r)
+        if x in col:
+            col[x].append(j)
+        else:
+            col[x] = [j]
+    read = dict.fromkeys(col, 0)  # v label -> ids of its column read
+    run_of = [None] * (r + 1)  # rank of u2 -> the run of the pair (u1, u2)
+    u1, paired = None, []  # the ranks u1 has a run with, in first-wedge order
+    for u, x in edges:
+        if u != u1:
+            yield from _flush(run_of, paired)
+            u1, paired = u, []
+        c = col[x]
+        p = read[x] + 1
+        read[x] = p
+        a = c[p - 1]  # the column's own int, so each id is one object
+        for b in c[p:]:
+            o = rank[b]
+            run = run_of[o]
+            if run is None:
+                run_of[o] = [a, b]
+                paired.append(o)
+            else:
+                run += a, b
+    yield from _flush(run_of, paired)
+
+
+def _flush(run_of, paired):
+    """The runs of two or more wedges among `paired`; every slot is
+    cleared for the next u1."""
+    for o in paired:
+        run = run_of[o]
+        run_of[o] = None
+        if len(run) > 2:
+            yield run
 
 
 def butterfly_edges(b):

@@ -71,6 +71,25 @@ def build(edges):
     return g
 
 
+def bloom_triples(graph):
+    """Each bloom of `graph.blooms()` as (u1, u2, common), read back from
+    its run of wedge ids a0, b0, a1, b1, ... through the edge list, after
+    checking that a_i is (u1, x_i) and b_i is (u2, x_i) for one pair."""
+    edges, runs = graph.blooms()
+    assert edges == graph.sorted_edges()
+    triples = []
+    for run in runs:
+        assert len(run) % 2 == 0
+        wedges = [(edges[a], edges[b]) for a, b in zip(run[::2], run[1::2])]
+        (u1, _x), (u2, _x) = wedges[0]
+        common = []
+        for (ua, xa), (ub, xb) in wedges:
+            assert (ua, ub, xa) == (u1, u2, xb)
+            common.append(xa)
+        triples.append((u1, u2, common))
+    return triples
+
+
 def levelled_members(index):
     """Each class of `index` as its member set, mapped to its level."""
     return {frozenset(n.members): n.level for n in index.nodes.values()}

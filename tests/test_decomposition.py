@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,3 +139,29 @@ class TestWideBlooms:
             line = f"{e[0]}\t{e[1]}\t{d.wing_number[e]}\t{d.support[e]}\n"
             h.update(line.encode())
         assert h.hexdigest() == digest
+
+
+def test_bloom_record_does_not_depend_on_the_hash_seed():
+    """The bloom record follows the sorted edge list, not set iteration
+    order: two processes with different hash seeds record the same runs."""
+    script = (
+        "import hashlib\n"
+        "from wingsearch import BipartiteGraph, wing_decomposition\n"
+        "from wingsearch.generate import generate_bipartite\n"
+        "g = BipartiteGraph()\n"
+        "for e in generate_bipartite(200, 200, 0.035, 91, [(12, 12, 0.9)] * 2):\n"
+        "    g.insert_edge(*e)\n"
+        "wedges, ends = wing_decomposition(g).bloom_runs\n"
+        "print(hashlib.sha256(wedges.tobytes() + ends.tobytes()).hexdigest())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        ).stdout
+        for seed in ("0", "5")
+    }
+    assert len(outs) == 1

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -15,11 +16,13 @@ from wingsearch import (
     deserialize,
     deserialize_comp,
     generate_bipartite,
+    query_comp,
     query_equiwing,
     rebuild_edge_counts,
     serialize,
     wing_decomposition,
 )
+from wingsearch.decomposition import WingDecomposition
 from wingsearch.errors import IndexFormatError, InternalConsistencyError
 
 from conftest import (
@@ -27,6 +30,7 @@ from conftest import (
     FIG2_CLASSES,
     FIG2_SUPER_EDGES,
     blocks_sharing_a_vertex,
+    bloom_triples,
     build,
     random_bipartite_edges,
 )
@@ -191,7 +195,7 @@ class TestBloomBuild:
             }
             assert got == oracles.justification_counts_oracle(edges), seed
             wn, cls = d.wing_number, index.per_edge_node
-            for u1, u2, common in g.blooms():
+            for u1, u2, common in bloom_triples(g):
                 w = {x: min(wn[(u1, x)], wn[(u2, x)]) for x in common}
                 top = max(w.values())
                 low = [m for m in w.values() if m < top]
@@ -210,6 +214,60 @@ class TestBloomBuild:
             assert list(d.support.items()) == [
                 (e, oracles.support_of(e, edges)) for e in g.sorted_edges()
             ]
+
+
+def shared_label_edges(seed):
+    """A seeded 8 x 8 graph whose two sides both have vertices named x and
+    y, with a complete 3 x 3 block at the right x and another at the left
+    x, so edge (x, x) and x's edges on both sides lie in butterflies."""
+    rng = random.Random(seed)
+    left = ["x", "y", *(f"a{i}" for i in range(6))]
+    right = ["x", "y", *(f"b{j}" for j in range(6))]
+    edges = {(u, v) for u in left for v in right if rng.random() < 0.3}
+    edges |= {(u, v) for u in ("x", "y", "a0") for v in ("x", "b0", "b1")}
+    edges |= {(u, v) for u in ("x", "a3", "a4") for v in ("y", "b2", "b3")}
+    return sorted(edges)
+
+
+class TestSharedLabel:
+    """A label may name a left and a right vertex: the bloom enumeration
+    keys its columns by right label and groups its pairs by left vertex,
+    and the query seeds a label's classes from both sides."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pipeline_matches_oracles(self, seed):
+        edges = shared_label_edges(seed)
+        g, d, index = built_index(edges)
+        assert d.wing_number == oracles.wing_numbers_oracle(edges)
+        assert d.support == {e: oracles.support_of(e, edges) for e in edges}
+        want = {
+            grp
+            for groups in oracles.equivalence_classes_oracle(edges).values()
+            for grp in groups
+        }
+        assert member_sets(index) == want
+        got = {
+            frozenset((index.nodes[a].members, index.nodes[b].members)): c
+            for (a, b), c in index.edge_counts.items()
+        }
+        assert got == oracles.justification_counts_oracle(edges)
+        # the build that enumerates the blooms itself agrees
+        unrecorded = build_equiwing(g, WingDecomposition(d.wing_number,
+                                                         d.support))
+        assert serialize(unrecorded) == serialize(index)
+        assert unrecorded.edge_counts == index.edge_counts
+
+        comp = compress(index)
+        assert comp.validate(d.wing_number) == []
+        assert d.wing_number[("x", "x")] >= 1
+        labels = sorted({x for e in edges for x in e})
+        for k in range(1, d.k_max + 1):
+            for q in labels:
+                want = oracles.query_oracle(edges, q, k)
+                for wings in (baseline_search(g, d, q, k),
+                              query_equiwing(index, q, k),
+                              query_comp(comp, q, k)):
+                    assert {frozenset(w) for w in wings} == want, (q, k)
 
 
 class BloomCountingGraph(BipartiteGraph):

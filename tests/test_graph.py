@@ -13,7 +13,7 @@ from wingsearch.graph import (
     save_edge_list,
 )
 
-from conftest import FIG2_EDGES, random_bipartite_edges
+from conftest import FIG2_EDGES, bloom_triples, random_bipartite_edges
 
 
 class TestLoading:
@@ -127,7 +127,7 @@ class TestButterflies:
             g = BipartiteGraph()
             for u, v in edges:
                 g.insert_edge(u, v)
-            blooms = list(g.blooms())
+            blooms = bloom_triples(g)
             pairs = [(u1, u2) for u1, u2, _common in blooms]
             assert len(pairs) == len(set(pairs))
             unfolded = set()
