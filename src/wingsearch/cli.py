@@ -238,6 +238,8 @@ def cmd_update(args):
         report = apply_update(graph, decomp, index, mkind, u, v)
         dt = time.perf_counter() - t0
         print(f"# mutation {i} time {dt:.6f}s")
+        print(f"# mutation {i} phases " + " ".join(
+            f"{phase} {s:.6f}s" for phase, s in report.timings.items()))
         for line in report.lines(i):
             print(line)
     print(f"# total update time {time.perf_counter() - total0:.6f}s")

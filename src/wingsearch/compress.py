@@ -17,6 +17,7 @@ same walk and written by the same serializer: `query_comp` and
 from itertools import repeat
 
 from .equiwing import (
+    EdgeOrder,
     EquiWingIndex,
     SuperNode,
     deserialize_comp,
@@ -60,8 +61,9 @@ def compress(index):
     Once every level-k node is in (see `components_top_down`), the level-k
     nodes under one root form one merged node, which keeps the smallest id.
     A node merged with nothing is shared with `index` as it is. An index
-    with a kept edge order passes it on: the edge list is shared and each
-    class id maps to its kept id.
+    with a kept edge order passes on a new one: the edge list is shared,
+    each class id maps to its kept id, and the position runs are derived
+    afresh when first used.
     """
     nodes = index.nodes
     keep_of = {}
@@ -88,9 +90,10 @@ def compress(index):
     comp.merge_log = sorted(
         (sid, kept) for sid, kept in keep_of.items() if sid != kept
     )
-    if index._order is not None:
-        edges, classes = index._order
-        comp._order = edges, list(map(keep_of.get, classes, repeat(0)))
+    order = index._order
+    if order is not None:
+        comp._order = EdgeOrder(
+            order.edges, list(map(keep_of.get, order.classes, repeat(0))))
     return comp
 
 

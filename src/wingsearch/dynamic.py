@@ -52,6 +52,7 @@ rebuilt from scratch and the report says so.
 from collections import Counter, defaultdict, deque
 from itertools import compress as where, repeat
 from operator import and_, eq, gt
+from time import perf_counter
 
 from .compress import compress
 from .equiwing import add_bloom, build_equiwing, form_classes, rebuild_edge_counts
@@ -92,7 +93,10 @@ class UpdateReport:
     `upper_bound` is the insert bound, or the deleted edge's wing number.
     `counters` holds the walk's work: `evaluations`, `taken_in` (edges the
     walk took in beyond its start) and `butterflies_scanned` (butterflies
-    read, summed over evaluations). No payload line prints them."""
+    read, summed over evaluations). `apply_update` fills `timings`, the
+    seconds of each of its phases: `start`, `walk`, `reclassify`,
+    `patch_counts` and `validate`; `apply_update_comp` adds `compress`.
+    No payload line prints them."""
 
     def __init__(self, kind, edge, upper_bound, delta):
         self.kind = kind
@@ -106,6 +110,7 @@ class UpdateReport:
         self.events = []
         self.fell_back = False
         self.counters = {}
+        self.timings = {}
 
     def lines(self, number=1):
         """The CLI's payload lines for this update as mutation `number`."""
@@ -433,6 +438,13 @@ def _patch_counts(index, report, blooms, regain, wn, wn_old, class_old):
     index._adjacency = None
 
 
+def _lap(timings, phase, since):
+    """Record the seconds since `since` as `timings[phase]`; returns now."""
+    now = perf_counter()
+    timings[phase] = now - since
+    return now
+
+
 def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
     index in place; the decomposition's bloom record, which no longer
@@ -444,6 +456,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     if index.merge_log is not None:
         raise InvalidArgumentError(
             "apply_update needs a plain index, not a compressed one")
+    t = perf_counter()
     wn = decomp.wing_number
     report, through, gain = _start(graph, wn, kind, u, v)
     e = report.edge
@@ -453,6 +466,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     # an inserted e reads level 0 and no class on the old side
     wn_old = defaultdict(int, wn)
     class_old = defaultdict(int, index.per_edge_node)
+    t = _lap(report.timings, "start", t)
 
     decomp.bloom_runs = None  # the record holds only for the peeled graph
     (graph.insert_edge if insert else graph.delete_edge)(u, v)
@@ -469,6 +483,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     else:
         decomp.support.pop(e, None)
         wn.pop(e, None)
+    t = _lap(report.timings, "walk", t)
 
     # one enumeration of the pairs that meet the scope feeds both surgery
     # passes; those that meet the classes the union pass absorbs are added
@@ -478,8 +493,10 @@ def apply_update(graph, decomp, index, kind, u, v):
     blooms = {}
     _blooms_meeting(graph, report.affected_edges, regain, blooms)
     taken_in = _reclassify(index, wn, report, blooms)
+    t = _lap(report.timings, "reclassify", t)
     _blooms_meeting(graph, taken_in, regain, blooms)
     _patch_counts(index, report, blooms, regain, wn, wn_old, class_old)
+    t = _lap(report.timings, "patch_counts", t)
 
     # defensive validation; fall back to a scratch rebuild on any violation
     problems = index.validate(wn)
@@ -493,6 +510,7 @@ def apply_update(graph, decomp, index, kind, u, v):
             )
         index.replace_with(rebuilt)
         report.fell_back = True
+    _lap(report.timings, "validate", t)
     return report
 
 
@@ -508,7 +526,9 @@ def apply_update_comp(graph, decomp, index, comp, kind, u, v):
     number 0 stays in the order under class 0, so no query emits it. Any
     node removed or formed drops the order."""
     report = apply_update(graph, decomp, index, kind, u, v)
+    t = perf_counter()
     untouched = not report.affected_nodes and not report.new_node_ids
     if comp is None or report.fell_back or not untouched:
-        return report, compress(index)
+        comp = compress(index)
+    _lap(report.timings, "compress", t)
     return report, comp

@@ -21,6 +21,14 @@ bloom of two wedges is one butterfly, which both kernels read straight from
 its four edges; a bloom whose edges meet at most one class adds no count,
 and `add_bloom` returns before it keys the bloom's neighbours.
 
+A fresh build keeps an edge order (`EdgeOrder`): every edge of the graph
+in sorted order and its node id. A query on such an index emits each wing
+from integer positions in that order, either marking them in a byte mask
+that one C-level `itertools.compress` reads, or sorting them as ints and
+gathering the edges; an index without an order merges its nodes' sorted
+member runs. See `_component_wings`. `serialize` writes each node's member
+lines from the same positions.
+
 The index is label-based and self-sufficient: queries need only the index.
 Compression (see compress.py) yields the same structure plus a merge log;
 a compressed index is an EquiWingIndex whose `merge_log` is not None, queried
@@ -31,6 +39,7 @@ other parsing.
 
 import hashlib
 from array import array
+from collections import deque
 from itertools import chain, compress, islice, repeat
 from operator import countOf, lt
 
@@ -64,10 +73,37 @@ class SuperNode:
         return f"SuperNode({self.sn_id}, level={self.level}, size={len(self.members)})"
 
 
+class EdgeOrder:
+    """Every edge of the graph an index was built from, in sorted order
+    (`edges`), and each one's node id, 0 for none (`classes`). `runs()`
+    derives each id's positions in `edges` on first use and keeps them on
+    the order, so they go wherever the order goes: whatever replaces or
+    drops an index's order drops its runs with it."""
+
+    __slots__ = ("edges", "classes", "_runs")
+
+    def __init__(self, edges, classes):
+        self.edges = edges
+        self.classes = classes
+        self._runs = None
+
+    def runs(self):
+        """Node id (0 for none) -> the ascending positions of its edges in
+        `edges`: one pass over `classes`, kept. Lists, not `array('i')`:
+        an array boxes each position again on every read."""
+        if self._runs is None:
+            runs = {c: [] for c in set(self.classes)}
+            for i, c in enumerate(self.classes):
+                runs[c].append(i)
+            self._runs = runs
+        return self._runs
+
+
 class QueryCounters:
     """Instrumentation for the access-pattern checks: which super nodes a
     query expanded, how many result edges it emitted and, per wing, which
-    emission ran: "filter" (the kept edge order) or "merge" (the runs)."""
+    emission ran: "mask" or "gather" (positions in the kept edge order) or
+    "merge" (the nodes' sorted runs); see `_component_wings`."""
 
     def __init__(self):
         self.visited_nodes = []
@@ -91,10 +127,8 @@ class EquiWingIndex:
         self.per_edge_node = {}
         self.vertex_seeds = {}
         self._adjacency = None
-        # (edges, classes): every edge of the graph it was built from in
-        # sorted order, and each one's node id (0 for none). Derived like
-        # the adjacency: set by the build and by `compress`, dropped by any
-        # node change, never serialized.
+        # an EdgeOrder, derived like the adjacency: set by the build and by
+        # `compress`, dropped by any node change, never serialized
         self._order = None
         self._next_id = 1
         # None on a plain index; on a compressed one the sorted
@@ -224,7 +258,7 @@ class EquiWingIndex:
             ):
                 problems.append("merge log names missing or live nodes")
         if self._order is not None:
-            edges, classes = self._order
+            edges, classes = self._order.edges, self._order.classes
             if len(edges) != len(classes) or not all(
                     map(lt, edges, islice(edges, 1, None))):
                 problems.append("kept edge order is not strictly increasing")
@@ -376,7 +410,7 @@ def build_equiwing(graph, decomp=None):
     index.edge_counts, classes = _edge_counts(edges, levels, record,
                                               index.per_edge_node)
     index.super_edge_set = set(index.edge_counts)
-    index._order = edges, classes
+    index._order = EdgeOrder(edges, classes)
     return index
 
 
@@ -480,13 +514,23 @@ def check_comp(comp, index, decomp):
 
 def _component_wings(index, seed_ids, k, counters):
     """Walk each k-wing from the seeds and emit its edges in sorted order.
-    A wing of r edges from b nodes is emitted one of two ways. Given a kept
-    edge order of m edges with 3m <= r * b.bit_length(), one C-level filter
-    of the order by the wing's node ids, with no comparison. Otherwise its
-    nodes' presorted runs are concatenated and one `list.sort()` merges
-    them: Timsort does that in O(r log b) comparisons. The 3 is measured:
-    timing both emissions over node sets of the 52,587-edge reference
-    graph, the filter wins from r * b.bit_length() of about 2.7m up."""
+    Say a wing has r edges from b nodes. With a kept edge order of m
+    edges, the wing is emitted from its nodes' position runs (see
+    `EdgeOrder`), with no tuple comparison:
+
+    - "mask", when 4m <= r * b.bit_length(): a bytearray of m marks, set
+      from the smaller side (the wing's runs when 2r <= m, or else all
+      marks with every other run cleared, class 0's included), read by one
+      C-level `itertools.compress` of the edges, O(m);
+    - "gather", otherwise: the wing's runs concatenated and sorted as ints,
+      which Timsort merges in O(r log b), then the edges at those positions.
+
+    Without an order, "merge": the nodes' presorted member runs are
+    concatenated and one `list.sort()` merges them in O(r log b) tuple
+    comparisons. Each answer is a new list. The 4 is measured on the
+    52,587-edge reference graph: over random node sets of its giant wing,
+    mask overtakes gather from r * b.bit_length() of about 3-5m up, and
+    its wings fall either below 0.9m or above 4.5m."""
     adj = index.adjacency()
     nodes = index.nodes
     order = index._order
@@ -504,24 +548,41 @@ def _component_wings(index, seed_ids, k, counters):
             node = nodes[cur]
             if counters is not None:
                 counters.visit(node)
-            wing.append(node)
+            wing.append(cur)
             r += len(node.members)
             for nb in adj[cur]:
                 if nb not in visited and nodes[nb].level >= k:
                     visited.add(nb)
                     stack.append(nb)
-        if (order is not None
-                and 3 * len(order[0]) <= r * len(wing).bit_length()):
-            ids = {node.sn_id for node in wing}
-            edges, classes = order
-            members = list(compress(edges, map(ids.__contains__, classes)))
-            emission = "filter"
-        else:
+        if order is None:
             members = []
-            for node in wing:
-                members.extend(node.ordered())
+            for cur in wing:
+                members.extend(nodes[cur].ordered())
             members.sort()
             emission = "merge"
+        else:
+            edges, runs = order.edges, order.runs()
+            m = len(edges)
+            if 4 * m <= r * len(wing).bit_length():
+                if 2 * r <= m:
+                    mask, mark = bytearray(m), 1
+                    marked = map(runs.__getitem__, wing)
+                else:
+                    mask, mark = bytearray(b"\1") * m, 0
+                    marked = map(runs.get, runs.keys() - wing)
+                deque(map(mask.__setitem__, chain.from_iterable(marked),
+                          repeat(mark)), 0)
+                members = list(compress(edges, mask))
+                emission = "mask"
+            else:
+                positions = runs[wing[0]]
+                if len(wing) > 1:
+                    positions = []
+                    for cur in wing:
+                        positions += runs[cur]
+                    positions.sort()
+                members = list(map(edges.__getitem__, positions))
+                emission = "gather"
         if counters is not None:
             counters.emit(len(members))
             counters.emissions.append(emission)
@@ -552,9 +613,19 @@ def _checksum(text):
 
 def serialize(index):
     """The plain layout, or with a merge log the compressed one: a `merges`
-    count, nodes grouped into `L <level>` sections, and trailing `M` lines."""
+    count, nodes grouped into `L <level>` sections, and trailing `M` lines.
+    Each node's member lines are in sorted order: read from its position
+    run when the index keeps an edge order, so no member is compared, or
+    else from `SuperNode.ordered()`."""
     comp = index.merge_log is not None
     nodes = index.nodes
+    if index._order is None:
+        ordered = SuperNode.ordered
+    else:
+        edges, runs = index._order.edges, index._order.runs()
+
+        def ordered(node):
+            return map(edges.__getitem__, runs[node.sn_id])
     lines = [COMP_FORMAT_HEADER if comp else FORMAT_HEADER]
     lines.append(f"kmax {index.k_max}")
     lines.append(f"nodes {len(nodes)}")
@@ -569,7 +640,7 @@ def serialize(index):
             level = node.level
             lines.append(f"L {level}")
         lines.append(f"node {sn_id} {node.level} {len(node.members)}")
-        for u, v in node.ordered():
+        for u, v in ordered(node):
             lines.append(f"m {u} {v}")
     for a, b in sorted(index.super_edge_set):
         lines.append(f"sedge {a} {b}")

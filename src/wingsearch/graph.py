@@ -160,11 +160,15 @@ def _bloom_runs(edges):
         else:
             col[x] = [j]
     read = dict.fromkeys(col, 0)  # v label -> ids of its column read
-    run_of = [None] * (r + 1)  # rank of u2 -> the run of the pair (u1, u2)
-    u1, paired = None, []  # the ranks u1 has a run with, in first-wedge order
+    # per rank of u2, the pair (u1, u2)'s first wedge (first_a is -1 while
+    # it has none) and, from its second wedge on, its run: most pairs share
+    # one neighbour, and these slots spare them a list each
+    first_a, first_b = [-1] * (r + 1), [0] * (r + 1)
+    run_of = [None] * (r + 1)
+    u1, paired = None, []  # the ranks u1 has a wedge with, by first wedge
     for u, x in edges:
         if u != u1:
-            yield from _flush(run_of, paired)
+            yield from _flush(first_a, run_of, paired)
             u1, paired = u, []
         c = col[x]
         p = read[x] + 1
@@ -173,21 +177,26 @@ def _bloom_runs(edges):
         for b in c[p:]:
             o = rank[b]
             run = run_of[o]
-            if run is None:
-                run_of[o] = [a, b]
-                paired.append(o)
-            else:
+            if run is not None:
                 run += a, b
-    yield from _flush(run_of, paired)
+            elif first_a[o] < 0:
+                first_a[o], first_b[o] = a, b
+                paired.append(o)
+            else:  # grown from two by +=: with a four-slot literal, the
+                # reference graph's peel and build peaked 10 MB higher
+                run = run_of[o] = [first_a[o], first_b[o]]
+                run += a, b
+    yield from _flush(first_a, run_of, paired)
 
 
-def _flush(run_of, paired):
+def _flush(first_a, run_of, paired):
     """The runs of two or more wedges among `paired`; every slot is
     cleared for the next u1."""
     for o in paired:
+        first_a[o] = -1
         run = run_of[o]
-        run_of[o] = None
-        if len(run) > 2:
+        if run is not None:
+            run_of[o] = None
             yield run
 
 

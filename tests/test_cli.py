@@ -345,6 +345,10 @@ class TestUpdate:
                  if line.startswith("# ") and " time " in line]
         comp = ["compress"] if fmt == "ewc_path" else []
         assert timed == ["check", "mutation", "mutation", "total", *comp]
+        phases = [line.split()[4::2] for line in out.splitlines()
+                  if line.startswith("# mutation ") and " phases " in line]
+        assert phases == [["start", "walk", "reclassify", "patch_counts",
+                           "validate"]] * 2
 
     def test_delete_missing_edge_changes_nothing(self, capsys, g_path,
                                                  ew_path):

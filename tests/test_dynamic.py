@@ -743,6 +743,9 @@ class TestCompMaintenance:
         comp = compress(index)
         report, comp = apply_update_comp(g, d, index, comp, "insert", "v4", "u6")
         assert report.fell_back is False
+        assert list(report.timings) == ["start", "walk", "reclassify",
+                                        "patch_counts", "validate", "compress"]
+        assert all(s >= 0 for s in report.timings.values())
         assert len(comp.nodes) == 4
         assert comp.compression_ratio() == pytest.approx(1.0)
         want = {frozenset(n.members): n.level for n in compress(index).nodes.values()}

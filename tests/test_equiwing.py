@@ -23,6 +23,7 @@ from wingsearch import (
     wing_decomposition,
 )
 from wingsearch.decomposition import WingDecomposition
+from wingsearch.equiwing import EdgeOrder
 from wingsearch.errors import IndexFormatError, InternalConsistencyError
 
 from conftest import (
@@ -408,7 +409,7 @@ class TestEdgeOrder:
         twins = (deserialize(serialize(index)),
                  deserialize_comp(serialize(comp)))
         assert index._order is not None and comp._order is not None
-        assert index._order[0] is comp._order[0]
+        assert index._order.edges is comp._order.edges
         assert all(t._order is None for t in twins)
         want = {(q, k): baseline_search(g, d, q, k)
                 for q, k in all_answers(g, index, d.k_max)}
@@ -451,27 +452,134 @@ class TestEdgeOrder:
 
     def test_emission_follows_the_answer_size(self):
         g, d, index = built_index(
-            generate_bipartite(40, 40, 0.15, 7, [(8, 8, 0.95)]))
+            generate_bipartite(50, 50, 0.15, 7, [(8, 8, 0.95)]))
         comp = compress(index)
         top = max(d.wing_number, key=d.wing_number.get)
         level = d.wing_number[top]
         for ix in (index, comp):
             counters = QueryCounters()
             (giant,) = query_equiwing(ix, top[0], 2, counters)
-            assert len(giant) > 0.8 * len(ix._order[0])
-            assert counters.emissions == ["filter"]
+            assert len(giant) > 0.8 * len(ix._order.edges)
+            assert counters.emissions == ["mask"]
             counters = QueryCounters()
             (wing,) = query_equiwing(ix, top[0], level, counters)
-            assert counters.emissions == ["merge"]
+            assert counters.emissions == ["gather"]
             loaded = deserialize(serialize(ix)) if ix is index else \
                 deserialize_comp(serialize(ix))
             counters = QueryCounters()
             assert query_equiwing(loaded, top[0], 2, counters) == [giant]
             assert counters.emissions == ["merge"]
 
+    def test_every_answer_is_a_fresh_list(self):
+        g, d, index = built_index(
+            generate_bipartite(40, 40, 0.15, 7, [(8, 8, 0.95)]))
+        loaded = deserialize(serialize(index))
+        edges = index._order.edges
+        kept = list(edges)
+        top = max(d.wing_number, key=d.wing_number.get)
+        for ix, k, emission in ((index, 2, "mask"),
+                                (index, d.wing_number[top], "gather"),
+                                (loaded, 2, "merge")):
+            counters = QueryCounters()
+            (answer,) = query_equiwing(ix, top[0], k, counters)
+            assert counters.emissions == [emission]
+            want = list(answer)
+            assert answer is not edges
+            answer.reverse()
+            answer.append(("a-new", "b-new"))
+            assert query_equiwing(ix, top[0], k) == [want], emission
+            assert index._order.edges is edges and edges == kept
+
+    def test_one_vertex_takes_several_emissions(self):
+        """At k=2 the vertex q lies in the giant wing, which holds more
+        than half of the edges and has level-0 edges between its own in
+        sorted order, and in a K_{3,3} that shares no butterfly with it:
+        the giant is masked from the other side, class 0 cleared, and the
+        K_{3,3} gathered."""
+        edges = generate_bipartite(40, 40, 0.15, 7, [(8, 8, 0.95)])
+        wn = wing_decomposition(build(edges)).wing_number
+        q = max(wn, key=wn.get)[0]
+        edges += [(u, v) for u in (q, "a-k1", "a-k2")
+                  for v in ("b-k1", "b-k2", "b-k3")]
+        g, d, index = built_index(edges)
+        edges, classes = index._order.edges, index._order.classes
+        counters = QueryCounters()
+        wings = query_equiwing(index, q, 2, counters)
+        giant = max(wings, key=len)
+        first, last = edges.index(giant[0]), edges.index(giant[-1])
+        assert 2 * len(giant) > len(edges)
+        assert 0 in classes[first:last]
+        assert sorted(counters.emissions) == ["gather", "mask"]
+        assert wings == baseline_search(g, d, q, 2)
+        for ix in (compress(index), deserialize(serialize(index))):
+            assert query_equiwing(ix, q, 2) == wings
+
+    def test_mask_from_either_side(self):
+        """A wing of more than half of the edges is masked from the other
+        runs, and one of at most half from its own. The 1-wing of the
+        250x250 graph has 182 nodes, so a matching, whose edges lie in no
+        butterfly, can pad the graph to twice the wing's size and keep the
+        mask: 4m <= r * (182).bit_length() holds at m = 2r."""
+        edges = generate_bipartite(250, 250, 0.04, 7)
+        g, d, index = built_index(edges)
+        q = max(d.wing_number, key=d.wing_number.get)[0]
+        (wing,) = query_equiwing(index, q, 1)
+        pad = 2 * len(wing) - len(edges)
+        matching = [(f"a-m{i:04}", f"b-m{i:04}") for i in range(pad)]
+        for padded in (False, True):
+            g, d, index = built_index(edges + matching * padded)
+            counters = QueryCounters()
+            assert query_equiwing(index, q, 1, counters) == [wing]
+            assert counters.emissions == ["mask"]
+            assert (2 * len(wing) <= len(index._order.edges)) is padded
+            assert [wing] == baseline_search(g, d, q, 1)
+
+    def test_runs_follow_their_order(self):
+        """The position runs live with the order they came from: a query
+        after `compress`, `replace_with` or an update that keeps the order
+        reads the runs of the order the index holds then, and a node
+        change leaves none."""
+        edges = generate_bipartite(40, 40, 0.15, 7, [(8, 8, 0.95)])
+        g, d, index = built_index(edges)
+        top = max(d.wing_number, key=d.wing_number.get)
+        ks = (1, 2, 5, d.wing_number[top])
+
+        def check(ix, g, d):
+            twin = (deserialize_comp if ix.merge_log is not None
+                    else deserialize)(serialize(ix))
+            for q in sorted(g.adj_u)[::3] + sorted(g.adj_v)[::3]:
+                for k in ks:
+                    want = baseline_search(g, d, q, k)
+                    assert query_equiwing(ix, q, k) == want, (q, k)
+                    assert query_equiwing(twin, q, k) == want, (q, k)
+
+        check(index, g, d)
+        comp = compress(index)
+        check(comp, g, d)
+        # an order from another graph: the runs must come with it
+        g2, d2, other = built_index([e for e in edges if e != top])
+        index.replace_with(other)
+        check(index, g2, d2)
+        comp = compress(index)
+        # a level-0 edge lies between the giant wing's edges; deleting it
+        # changes no node, so both orders stay and keep it under class 0
+        lone = next(e for e in g2.sorted_edges() if not d2.wing_number[e])
+        report, new_comp = apply_update_comp(g2, d2, index, comp, "delete",
+                                             *lone)
+        assert new_comp is comp and index._order is not None
+        assert lone in index._order.edges
+        check(index, g2, d2)
+        check(comp, g2, d2)
+        report, comp = apply_update_comp(g2, d2, index, comp, "delete",
+                                         *max(d2.wing_number,
+                                              key=d2.wing_number.get))
+        assert index._order is None and comp._order is None
+        check(index, g2, d2)
+        check(comp, g2, d2)
+
     def test_validate_checks_a_kept_order(self):
         g, d, index = built_index(generate_bipartite(*PLANTED[0]))
-        edges, classes = index._order
+        edges, classes = index._order.edges, index._order.classes
         assert index.validate(d.wing_number) == []
         classed = next(i for i, c in enumerate(classes) if c)
         unclassed = next(i for i, c in enumerate(classes) if not c)
@@ -488,9 +596,9 @@ class TestEdgeOrder:
             wrong[i] = c
             bad.append((edges, wrong))
         for order in bad:
-            index._order = order
+            index._order = EdgeOrder(*order)
             assert index.validate()
-        index._order = edges, classes
+        index._order = EdgeOrder(edges, classes)
         assert index.validate(d.wing_number) == []
 
 

@@ -30,7 +30,8 @@ of members: four seeded updates, each on a fresh build of the 52,587-edge
 criterion-9 graph. It prints one line per update: |changed|,
 |affected_edges|, the update's seconds, their ratio to the seconds of the
 build it ran on (peel, build and compress), the walk's work counters
-(`report.counters`), and the first 16 hex digits of the sha256 of the
+(`report.counters`), the seconds of each update phase (`report.timings`,
+`<phase>_s`), and the first 16 hex digits of the sha256 of the
 report lines, the sorted `changed` map and both index files. Compare the
 hashes of two checkouts; the seconds depend on the machine, and the
 counters may vary a little with the string hash seed, which orders the
@@ -185,6 +186,7 @@ def reference():
             f"update_s {t2 - t1:.2f} rebuild_s {t1 - t0:.2f} "
             f"ratio {(t2 - t1) / (t1 - t0):.2f} "
             + "".join(f"{k} {n} " for k, n in report.counters.items())
+            + "".join(f"{k}_s {s:.2f} " for k, s in report.timings.items())
             + f"sha {_sha(text)[:16]}"
         )
 
