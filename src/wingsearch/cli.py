@@ -240,6 +240,8 @@ def cmd_update(args):
         print(f"# mutation {i} time {dt:.6f}s")
         print(f"# mutation {i} phases " + " ".join(
             f"{phase} {s:.6f}s" for phase, s in report.timings.items()))
+        print(f"# mutation {i} counters " + " ".join(
+            f"{name} {n}" for name, n in report.counters.items()))
         for line in report.lines(i):
             print(line)
     print(f"# total update time {time.perf_counter() - total0:.6f}s")

@@ -12,9 +12,12 @@ all have wing number >= k. Consequences used here:
 * insert rise: no other edge rises by more than delta. The new k-bitruss
   less e' is a subgraph of the old graph in which every edge keeps at least
   k - delta butterflies, so it lies in the old (k - delta)-bitruss.
-* insert reach: the edges that rise past t are butterfly-connected to e'
-  through each other within the new t-bitruss. A part that did not reach e'
-  would, with the old t-bitruss, be a t-bitruss of the old graph.
+* insert reach: no edge rises past w'(e'), and the edges that rise past t
+  are butterfly-connected to e' through each other within the new
+  t-bitruss. A t-bitruss without e', or a part that did not reach e' with
+  the old t-bitruss, would be a t-bitruss of the old graph. So every edge g
+  that rises shares a butterfly with e' or with a riser f that starts at
+  or below g's old value and ends above it.
 * delete cap: only edges with old wing number <= w(e') can change.
 * exact recomputation: repeatedly lower values to the h-index of the
   edge's butterflies' minima; from any start at or above the true new wing
@@ -27,13 +30,16 @@ scope on the graph it leaves. One count, how many of those butterflies
 each other edge lies in, gives delta, the support patch and an insert's
 start values; one counted h-index, `_h_index`, gives the bound's l and
 every evaluation of the walk. An insert starts at e' alone, its
-butterflies already read. It takes in an edge g only when an evaluation
-of a butterfly neighbour f leaves f, and g's cap, above both old values:
-the cap is the least of the bound, g's new support and w(g) + delta. By
-the two insert facts these are the only edges that can rise. A delete
-starts at the old values, which hold but on the dying butterflies: it seeds
-their edges and takes in another edge only when a neighbour's drop crosses
-its value. Either walk enumerates each edge's butterflies once.
+butterflies already read. It takes in an edge g only from a butterfly
+neighbour f whose old value is at most g's and whose evaluation, like g's
+cap, stays above g's old value: the cap is the least of the bound, g's new
+support and w(g) + delta. By the insert facts every edge that rises is
+taken in. Each edge taken in is evaluated once before any is evaluated
+again; then the edges left outside settle, once, at their old values. A
+delete starts at the old values, which hold but on the dying butterflies:
+it seeds their edges and takes in another edge only when a neighbour's
+drop crosses its value. Either walk enumerates each edge's butterflies
+once.
 The scope's classes are those of e' and of the changed edges, the classes a
 created or dying butterfly chains, and on a delete the classes at the old
 minimum of each butterfly whose minimum drops: only there can a delete
@@ -92,11 +98,12 @@ class UpdateReport:
     the same report with the surviving classes its surgery absorbs.
     `upper_bound` is the insert bound, or the deleted edge's wing number.
     `counters` holds the walk's work: `evaluations`, `taken_in` (edges the
-    walk took in beyond its start) and `butterflies_scanned` (butterflies
-    read, summed over evaluations). `apply_update` fills `timings`, the
-    seconds of each of its phases: `start`, `walk`, `reclassify`,
-    `patch_counts` and `validate`; `apply_update_comp` adds `compress`.
-    No payload line prints them."""
+    walk took in beyond its start), `butterflies_scanned` (butterflies
+    read, summed over evaluations) and `settled` (edges an insert left
+    outside at their old values, though their caps allowed a rise).
+    `apply_update` fills `timings`, the seconds of each of its phases:
+    `start`, `walk`, `reclassify`, `patch_counts` and `validate`;
+    `apply_update_comp` adds `compress`. No payload line prints them."""
 
     def __init__(self, kind, edge, upper_bound, delta):
         self.kind = kind
@@ -161,31 +168,43 @@ def _fixpoint(graph, wn, up, memo, cap=None):
     w, and is taken in at w when a drop crosses it: val < w <= old.
 
     An insert of e passes `cap(g)`, a sound cap on g's new value: the least
-    of the bound, g's new support and w(g) + delta; w(e) = 0. The rule for
-    an edge g outside the walk, read while f is evaluated from `old`: it
-    counts at cap(g) if max(w(f), w(g)) < min(old, cap(g)), and at w(g)
-    otherwise. Once the evaluation gives val, g is taken in at cap(g) if
-    max(w(f), w(g)) < min(val, cap(g)). An edge whose value is back at w
-    is not evaluated: it can fall no lower. Two facts make this exact:
+    of the bound, g's new support and w(g) + delta; w(e) = 0. An edge g
+    outside the walk with cap(g) > w(g) is a potential riser and counts at
+    cap(g); any other counts at w(g), which is its new value. An
+    evaluation of f that gives val takes a potential riser g in, at
+    cap(g), when w(f) <= w(g) < min(val, cap(g)). An edge whose value is
+    back at w is not evaluated: it can fall no lower. Three facts make
+    this exact, for g != e:
 
-    (a) w'(g) <= w(g) + delta for g != e. The new k-bitruss less e is a
-        subgraph of the old graph in which every edge keeps at least
-        k - delta butterflies, so it lies in the old (k - delta)-bitruss.
+    (a) w'(g) <= w(g) + delta. The new k-bitruss less e is a subgraph of
+        the old graph in which every edge keeps at least k - delta
+        butterflies, so it lies in the old (k - delta)-bitruss.
     (b) If g rises past t, the edges new to the t-bitruss are butterfly
         connected to e through each other within it: a part that did not
         reach e would, with the old t-bitruss, be a t-bitruss of the old
-        graph. So g has a partner f, e itself or an edge that also rises
-        past t, with max(w(f), w(g)) < t <= min(val(f), cap(g)) at every
-        evaluation of f, since each val(f) is at least w'(f). By induction
-        from e, every edge that rises is taken in.
+        graph.
+    (c) A riser g shares a butterfly with e, or with a riser f such that
+        w(f) <= w(g) < w'(f). No edge rises past w'(e): for t > w'(e) the
+        new t-bitruss lacks e, so it lies in the old t-bitruss. So at
+        t = w(g) + 1 both g and e are new to the t-bitruss, and (b) gives
+        a chain from e to g whose edges are all new at t: each has
+        w <= w(g) and w' > w(g). g's predecessor on it is f.
 
-    A neighbour that the rule leaves out may count at w(g), and val stays
-    at least w'(f). Either w(g) >= old, and every value at or above old
-    counts the same under the cap at old; or cap(g) <= max(w(f), w(g)), so
-    g cannot rise past w(f), and f never falls below w(f), which its old
-    butterflies certify. For the same two reasons, counting every outside
-    g at max(w(g), cap(g)) gives the same val as the rule. The walk does
-    that, so the value an edge counts at does not depend on who reads it."""
+    By induction on w(g), then along the chain, every riser is taken in:
+    f is taken in and evaluated, every val(f) is at least w'(f) > w(g),
+    and cap(g) >= w'(g) > w(g).
+
+    Edges taken in wait in `fresh`, ahead of the re-evaluations that drops
+    queue, so each is evaluated once before any is re-evaluated. Values
+    only fall, so an edge takes in at its first evaluation all it ever
+    will. Once `fresh` is empty every riser is in the walk and every walk
+    edge's butterflies have been read, so no later read finds another
+    potential riser, and the walk settles once: each potential riser still
+    outside does not rise, and counts at w(g) from then on. A walk edge whose
+    value that drop from cap(g) to w(g) crosses goes back on the queue,
+    found through the memo: no butterflies are enumerated again. Until
+    the settle every value counts at or above the truth, so the walk
+    still ends at the new wing numbers."""
     intern = {}
     risers = {}  # an outside edge whose cap exceeds w -> w
 
@@ -202,11 +221,27 @@ def _fixpoint(graph, wn, up, memo, cap=None):
     value.update(up)
     get = value.__getitem__
     work = deque(sorted(up))
+    fresh = deque()  # taken in, not yet evaluated: ahead of `work`
     inwork = set(work)
-    evaluations = scanned = 0
+    evaluations = scanned = settled = 0
     seeded = len(up)
-    while work:
-        f = work.popleft()
+    while fresh or risers or work:
+        if fresh:
+            f = fresh.popleft()
+        elif risers:  # the settle
+            settled += len(risers)
+            drops = {g: (w, value[g]) for g, w in risers.items()}
+            value.update(risers)
+            risers.clear()
+            for g, v in up.items():
+                if v > wn.get(g, 0) and g not in inwork:
+                    read = map(drops.get, filter(drops.__contains__, memo[g]))
+                    if any(w < v <= c for w, c in read):
+                        inwork.add(g)
+                        work.append(g)
+            continue
+        else:
+            f = work.popleft()
         inwork.discard(f)
         old = up[f]
         wf = wn.get(f, 0)
@@ -222,11 +257,11 @@ def _fixpoint(graph, wn, up, memo, cap=None):
         val = _h_index(Counter(map(min, it, it, it, repeat(top))), top)
         if risers and val > wf:
             for g in filter(risers.__contains__, others):
-                if risers[g] < val and value[g] > wf:
+                if wf <= risers[g] < val:
                     del risers[g]
                     up[g] = value[g]
                     inwork.add(g)
-                    work.append(g)
+                    fresh.append(g)
         if val < old:
             up[f] = value[f] = val
             for g in others:
@@ -240,6 +275,7 @@ def _fixpoint(graph, wn, up, memo, cap=None):
         "evaluations": evaluations,
         "taken_in": len(up) - seeded,
         "butterflies_scanned": scanned,
+        "settled": settled,
     }
 
 

@@ -221,6 +221,15 @@ class EquiWingIndex:
         level, and as many edges be classed as have one >= 1: then the
         classed edges are exactly those, and the index describes the graph."""
         problems = []
+        # a sweep in C: when every member maps to its node and the map holds
+        # as many edges as the nodes do, no edge is in two nodes or stray;
+        # only otherwise are the members walked, to name the problems
+        node_of = self.per_edge_node.get
+        hits = members = 0
+        for sn_id, node in self.nodes.items():
+            hits += countOf(map(node_of, node.members), sn_id)
+            members += len(node.members)
+        swept = hits == members == len(self.per_edge_node)
         seen = {}
         for sn_id, node in self.nodes.items():
             if node.sn_id != sn_id:
@@ -229,13 +238,15 @@ class EquiWingIndex:
                 problems.append(f"node {sn_id} has level {node.level}")
             if not node.members:
                 problems.append(f"node {sn_id} is empty")
+            if swept:
+                continue
             for e in node.members:
                 if e in seen:
                     problems.append(f"edge {e} in nodes {seen[e]} and {sn_id}")
                 seen[e] = sn_id
-                if self.per_edge_node.get(e) != sn_id:
+                if node_of(e) != sn_id:
                     problems.append(f"edge map wrong for {e}")
-        if len(self.per_edge_node) != len(seen):
+        if not swept and len(self.per_edge_node) != len(seen):
             problems.append("edge map has stray entries")
         for a, b in self.super_edge_set:
             if a not in self.nodes or b not in self.nodes:

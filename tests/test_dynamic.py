@@ -38,7 +38,11 @@ from conftest import (
     levelled_members,
     random_bipartite_edges,
 )
-from oracles import butterflies_through, justification_counts_oracle
+from oracles import (
+    butterflies_through,
+    justification_counts_oracle,
+    wing_numbers_oracle,
+)
 
 
 def member_sets(index):
@@ -439,6 +443,97 @@ class TestApplyInsert:
                 u, v = r.choice(us), r.choice(vs)
             check(g, d, index, u, v)
         assert_matches_scratch(g, d, index)
+
+    def test_block_reinsert_does_not_walk_the_lower_block(self):
+        """Re-inserting (a73, b82), a top-level edge of TestMidScale's
+        1,702-edge graph, raises 141 edges of its block to level 73-74. The
+        other block's edges sit at levels 62-64, below every edge that
+        rises, so the walk takes none of them in from above: it took in
+        about 730 edges over about 1,700 evaluations when it did, and
+        about 190 over 320-470 now, whatever the string hash seed."""
+        g = build(generate_bipartite(200, 200, 0.035, 91, [(12, 12, 0.9)] * 2))
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        top = max(index.nodes.values(), key=lambda n: n.level)
+        assert ("a73", "b82") in top.members and top.level == 74
+        apply_update(g, d, index, "delete", "a73", "b82")
+        report = apply_update(g, d, index, "insert", "a73", "b82")
+        assert len(report.changed) == 141
+        assert report.counters["taken_in"] <= 300
+        assert report.counters["evaluations"] <= 900
+        assert report.counters["settled"] > 0
+        assert_matches_scratch(g, d, index)
+
+    def test_settle_queues_the_readers_its_drops_cross(self):
+        """Inserting (a7, b0) here has bound 5 and delta 3. The level-3
+        edges (a4, b5) and (a5, b5) have cap 5 but meet only level-4 edges
+        of the walk, so none takes them in and they count at 5 until the
+        settle. Six level-4 walk edges read them and sit at exactly 5 then.
+        The settle puts both back at 3, and those readers must go back on
+        the queue, or they keep 5."""
+        rows = {"a1": "0269", "a2": "58", "a3": "58", "a4": "04568",
+                "a5": "0458", "a7": "26", "a8": "024689", "a9": "0289"}
+        g = build([(u, f"b{j}") for u, js in rows.items() for j in js])
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        report = apply_update(g, d, index, "insert", "a7", "b0")
+        assert (report.upper_bound, report.delta) == (5, 3)
+        assert report.counters["settled"] == 2
+        assert report.changed == {("a7", "b0"): (0, 4), ("a7", "b2"): (2, 4),
+                                  ("a7", "b6"): (2, 4)}
+        assert_matches_scratch(g, d, index)
+
+    def test_risers_are_reached_from_at_or_below_their_level(self, rng):
+        """The facts the insert walk rests on, on definitional wing numbers
+        w before and w' after inserting e: every g != e with w'(g) > w(g)
+        has w'(g) <= w'(e), and lies in a butterfly of the new graph with e
+        or with a riser f such that w(f) <= w(g) < w'(f). On seeded inserts
+        into random 8x8 graphs, with the oracle's wing numbers, and on
+        block inserts into TestMidScale's 1,702-edge graph, with the
+        peel's."""
+
+        def check(g, old, new, e):
+            risers = {f for f, w in new.items()
+                      if f != e and w > old.get(f, 0)}
+            for x in risers:
+                assert new[x] <= new[e], (x, e)
+                partners = {f for b in g.butterflies_of_edge(*x)
+                            for f in butterfly_edges(b)}
+                assert e in partners or any(
+                    f in risers and old[f] <= old[x] < new[f]
+                    for f in partners), (x, e)
+            return len(risers)
+
+        rose = 0
+        for _ in range(40):
+            edges = random_bipartite_edges(rng, 8, 8, rng.uniform(0.3, 0.6))
+            absent = sorted({(f"a{i}", f"b{j}") for i in range(8)
+                             for j in range(8)} - set(edges))
+            if not absent:
+                continue
+            e = rng.choice(absent)
+            rose += check(build(edges + [e]), wing_numbers_oracle(edges),
+                          wing_numbers_oracle(edges + [e]), e)
+        assert rose >= 100
+
+        g = build(generate_bipartite(200, 200, 0.035, 91, [(12, 12, 0.9)] * 2))
+        g.delete_edge("a73", "b82")
+        old = wing_decomposition(g).wing_number
+        r = random.Random(17)
+        block = sorted({x for x, w in old.items() if w >= 60})
+        us, vs = sorted({a for a, _ in block}), sorted({b for _, b in block})
+        inserts = [("a73", "b82")]
+        while len(inserts) < 4:
+            e = r.choice(us), r.choice(vs)
+            if not g.has_edge(*e) and e not in inserts:
+                inserts.append(e)
+        rose = 0
+        for e in inserts:
+            g.insert_edge(*e)
+            new = wing_decomposition(g).wing_number
+            rose += check(g, old, new, e)
+            old = new
+        assert rose >= 141
 
 
 class TestApplyDelete:

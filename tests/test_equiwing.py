@@ -59,6 +59,28 @@ def super_edge_member_sets(index):
     }
 
 
+def member_problems_by_loop(index):
+    """What `validate` names about nodes and members, by the per-member
+    loop it runs only when its sweep fails: the reference for the sweep."""
+    problems, seen = [], {}
+    for sn_id, node in index.nodes.items():
+        if node.sn_id != sn_id:
+            problems.append(f"node {sn_id} carries id {node.sn_id}")
+        if node.level < 1:
+            problems.append(f"node {sn_id} has level {node.level}")
+        if not node.members:
+            problems.append(f"node {sn_id} is empty")
+        for e in node.members:
+            if e in seen:
+                problems.append(f"edge {e} in nodes {seen[e]} and {sn_id}")
+            seen[e] = sn_id
+            if index.per_edge_node.get(e) != sn_id:
+                problems.append(f"edge map wrong for {e}")
+    if len(index.per_edge_node) != len(seen):
+        problems.append("edge map has stray entries")
+    return problems
+
+
 def super_edges_oracle(edges):
     """Brute force: classes A (lower level) and D are adjacent iff some
     butterfly holds an edge of each with all four edges at wing number
@@ -600,6 +622,39 @@ class TestEdgeOrder:
             assert index.validate()
         index._order = EdgeOrder(edges, classes)
         assert index.validate(d.wing_number) == []
+
+
+class TestValidate:
+    def test_member_sweep_names_what_the_loop_names(self, fig2_graph):
+        """`validate` checks members with one C-level sweep per node and
+        walks them only when it fails. On an index corrupted each way, and
+        on a sound one, it names exactly what the per-member loop names.
+        The edge order is dropped so that its own check stays silent."""
+
+        def corrupt(index, how):
+            nodes, edge_map = index.nodes, index.per_edge_node
+            if how == "edge in two nodes":
+                nodes[2].members |= {min(nodes[1].members)}
+            elif how == "stray map entry":
+                edge_map[("v9", "u9")] = 1
+            elif how == "map to another node":
+                edge_map[min(nodes[4].members)] = 6
+            elif how == "wrong id":
+                nodes[3].sn_id = 9
+            elif how == "empty node":
+                nodes[3].members = frozenset()
+            elif how == "level 0":
+                nodes[1].level = 0
+
+        for how in (None, "edge in two nodes", "stray map entry",
+                    "map to another node", "wrong id", "empty node",
+                    "level 0"):
+            index = build_equiwing(fig2_graph)
+            index._order = None
+            corrupt(index, how)
+            problems = index.validate()
+            assert problems == member_problems_by_loop(index), how
+            assert bool(problems) == (how is not None), how
 
 
 class TestSerialization:
