@@ -25,21 +25,23 @@ all have wing number >= k. Consequences used here:
 
 Both kinds share one path and one order: read the butterflies through e'
 once (those it closes, or the dying ones), as the flat list of their other
-three edges that the walk reads for every edge, apply e', then find the
-scope on the graph it leaves. One count, how many of those butterflies
-each other edge lies in, gives delta, the support patch and an insert's
-start values; one counted h-index, `_h_index`, gives the bound's l and
-every evaluation of the walk. An insert starts at e' alone, its
-butterflies already read. It takes in an edge g only from a butterfly
-neighbour f whose old value is at most g's and whose evaluation, like g's
-cap, stays above g's old value: the cap is the least of the bound, g's new
-support and w(g) + delta. By the insert facts every edge that rises is
-taken in. Each edge taken in is evaluated once before any is evaluated
-again; then the edges left outside settle, once, at their old values. A
-delete starts at the old values, which hold but on the dying butterflies:
-it seeds their edges and takes in another edge only when a neighbour's
-drop crosses its value. Either walk enumerates each edge's butterflies
-once.
+three edges that the walk reads for every edge, then walk and re-form on
+G + e'. e' is in the graph throughout the update, at level 0 on the side
+where it is absent, and no h-index at 1 or above counts a butterfly
+through an edge at 0. One count, how many of those butterflies each other
+edge lies in, gives delta, the support patch and an insert's start
+values; one counted h-index, `_h_index`, gives the bound's l and every
+evaluation of the walk. An insert starts at e' alone, its butterflies
+already read. It takes in an edge g only from a butterfly neighbour f
+whose old value is at most g's and whose evaluation, like g's cap, stays
+above g's old value: the cap is the least of the bound, g's new support
+and w(g) + delta. By the insert facts every edge that rises is taken in.
+Each edge taken in is evaluated once before any is evaluated again; then
+the edges left outside settle, once, at their old values. A delete starts
+at the old values, which hold but on the dying butterflies: it seeds
+their edges, and e' at 0, and takes in another edge only when a
+neighbour's drop crosses its value. Either walk enumerates each edge's
+butterflies once.
 The scope's classes are those of e' and of the changed edges, the classes a
 created or dying butterfly chains, and on a delete the classes at the old
 minimum of each butterfly whose minimum drops: only there can a delete
@@ -100,7 +102,10 @@ class UpdateReport:
     `counters` holds the walk's work: `evaluations`, `taken_in` (edges the
     walk took in beyond its start), `butterflies_scanned` (butterflies
     read, summed over evaluations) and `settled` (edges an insert left
-    outside at their old values, though their caps allowed a rise).
+    outside at their old values, though their caps allowed a rise);
+    `apply_update` adds surgery's `pairs` (left-vertex pairs whose
+    neighbour sets `_blooms_meeting` intersects) and `blooms` (those it
+    keeps, which surgery reads).
     `apply_update` fills `timings`, the seconds of each of its phases:
     `start`, `walk`, `reclassify`, `patch_counts` and `validate`;
     `apply_update_comp` adds `compress`. No payload line prints them."""
@@ -305,10 +310,10 @@ def _start(graph, wn, kind, u, v):
 
 
 def _scope(graph, decomp, index, report, through, gain):
-    """Fill in the report's scope on `graph`, which the update has already
-    changed; `through` holds the other three edges of each butterfly it
-    created or destroyed, and `gain` how many of them each edge lies in.
-    `decomp` is read, as it was before the update."""
+    """Fill in the report's scope on `graph`, which holds e; `through` holds
+    the other three edges of each butterfly the update creates or destroys,
+    and `gain` how many of them each edge lies in. `decomp` is read, as it
+    was before the update."""
     wn = decomp.wing_number
     e = report.edge
     p = report.upper_bound  # e's level: the bound on insert, w(e) on delete
@@ -324,17 +329,18 @@ def _scope(graph, decomp, index, report, through, gain):
             seeds.update(index.per_edge_node.get(x) for x in trio
                          if wn.get(x, 0) == low)
 
+    memo = {e: through}  # the butterflies e closes, or the dying ones
     if report.kind == "insert":
         up = {e: min(p, len(through) // 3)}
-        memo = {e: through}  # the butterflies e closes
         delta = report.delta
 
         def cap(g):  # the bound, g's new support and fact (a)
             return min(p, decomp.support[g] + gain[g], wn.get(g, 0) + delta)
     else:
-        # the old values hold everywhere but on the dying butterflies
+        # the old values hold everywhere but on the dying butterflies, and
+        # e, still in the graph, counts at 0: no h-index above 0 counts it
         up = {y: wn[y] for y in through if 1 <= wn.get(y, 0) <= p}
-        memo, cap = {}, None
+        up[e], cap = 0, None
     memo, value, report.counters = _fixpoint(graph, wn, up, memo, cap)
 
     changed = {f for f in up if up[f] != wn.get(f, 0) and f != e}
@@ -369,26 +375,25 @@ def _scope(graph, decomp, index, report, through, gain):
 
 def affected_edges(graph, decomp, index, kind, u, v):
     """The update's report before any surgery: bound, delta, the scope and
-    `changed`. Mutates nothing: the update is evaluated on a graph with the
-    edge applied that shares every vertex's neighbour set but those of its
-    two ends, which it copies."""
+    `changed`. Mutates nothing: a delete reads the caller's graph, and an
+    insert a graph with the edge that copies only its two ends' neighbour
+    sets."""
     report, through, gain = _start(graph, decomp.wing_number, kind, u, v)
-    applied = BipartiteGraph()
-    applied.adj_u, applied.adj_v = dict(graph.adj_u), dict(graph.adj_v)
-    for adj, x in ((applied.adj_u, u), (applied.adj_v, v)):
-        if x in adj:
-            adj[x] = set(adj[x])
-    (applied.insert_edge if kind == "insert" else applied.delete_edge)(u, v)
-    _scope(applied, decomp, index, report, through, gain)
+    if kind == "insert":
+        applied = BipartiteGraph()
+        applied.adj_u = {**graph.adj_u, u: {*graph.adj_u.get(u, ()), v}}
+        applied.adj_v = {**graph.adj_v, v: {*graph.adj_v.get(v, ()), u}}
+        graph = applied
+    _scope(graph, decomp, index, report, through, gain)
     return report
 
 
-def _blooms_meeting(graph, edges, regain, blooms):
+def _blooms_meeting(graph, edges, blooms):
     """Add to `blooms`, pair -> common neighbours, each left-vertex pair u1
     < u2 not in it yet that shares a neighbour x with (u1, x) in `edges`
-    and holds a butterfly: two or more common neighbours, or one for a pair
-    in `regain`, which a deleted edge leaves one short. These blooms hold
-    every butterfly through `edges`, before and after the update."""
+    and holds a butterfly: two or more common neighbours. On G + e' these
+    blooms hold every butterfly through `edges`, before and after. Returns
+    the number of pairs whose neighbour sets it intersects."""
     adj_u, adj_v = graph.adj_u, graph.adj_v
     pairs = set()
     for u1, x in edges:
@@ -399,8 +404,9 @@ def _blooms_meeting(graph, edges, regain, blooms):
     none = frozenset()
     for pair in pairs:
         common = adj_u.get(pair[0], none) & adj_u.get(pair[1], none)
-        if len(common) + (pair in regain) >= 2:
+        if len(common) >= 2:
             blooms[pair] = tuple(common)  # a quarter of a small set's bytes
+    return len(pairs)
 
 
 def _wedge_run(u1, u2, common):
@@ -424,8 +430,7 @@ def _reclassify(index, wn, report, blooms):
     for sid in report.affected_nodes:
         index.remove_node(sid)
     pool = {f for f in report.affected_edges if wn.get(f, 0) >= 1}
-    runs = (_wedge_run(u1, u2, common)
-            for (u1, u2), common in blooms.items() if len(common) >= 2)
+    runs = (_wedge_run(u1, u2, common) for (u1, u2), common in blooms.items())
     taken_in = []
     for nid, absorbed in form_classes(index, runs, wn, pool):
         for node in absorbed:
@@ -439,24 +444,18 @@ def _reclassify(index, wn, report, blooms):
     return taken_in
 
 
-def _patch_counts(index, report, blooms, regain, wn, wn_old, class_old):
+def _patch_counts(index, report, blooms, wn, wn_old, class_old):
     """Patch the justification counts bloom by bloom. Each of `blooms`,
     those that meet a scope edge, e' included, takes back its old bloom
     under the old wing numbers and classes and adds its new one under the
     new maps. A pair that meets no scope edge holds only edges whose level
-    and class did not move, so its two terms would cancel. A deleted e' =
-    (u, v) is back in the old blooms of the `regain` pairs, u with each
-    remaining neighbour of v; an inserted e' is missing from the old wing
-    numbers, so on the old side its butterflies count at level 0 and
-    contribute nothing."""
-    v = report.edge[1]
+    and class did not move, so its two terms would cancel. On the side
+    where e' is absent it has level 0 and no class, and adds nothing."""
     class_new = defaultdict(int, index.per_edge_node)
     delta = {}
     for (u1, u2), common in blooms.items():
         run = _wedge_run(u1, u2, common)
         add_bloom(delta, run, wn, class_new, 1)
-        if (u1, u2) in regain:
-            run += (u1, v), (u2, v)
         add_bloom(delta, run, wn_old, class_old, -1)
 
     counts = index.edge_counts
@@ -485,10 +484,11 @@ def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
     index in place; the decomposition's bloom record, which no longer
     holds, is dropped; an index loaded without counts is checked by
-    `rebuild_edge_counts` first. Returns the UpdateReport that
-    `affected_edges` would give, widened by the surgery. A compressed index
-    is refused before anything changes: update the plain one and compress
-    it afterwards, as `apply_update_comp` does."""
+    `rebuild_edge_counts` first. A delete takes the edge out only once the
+    counts are patched. Returns the UpdateReport that `affected_edges`
+    would give, widened by the surgery. A compressed index is refused
+    before anything changes: update the plain one and compress it
+    afterwards, as `apply_update_comp` does."""
     if index.merge_log is not None:
         raise InvalidArgumentError(
             "apply_update needs a plain index, not a compressed one")
@@ -505,7 +505,8 @@ def apply_update(graph, decomp, index, kind, u, v):
     t = _lap(report.timings, "start", t)
 
     decomp.bloom_runs = None  # the record holds only for the peeled graph
-    (graph.insert_edge if insert else graph.delete_edge)(u, v)
+    if insert:
+        graph.insert_edge(u, v)
     _scope(graph, decomp, index, report, through, gain)
 
     sign = 1 if insert else -1
@@ -513,25 +514,22 @@ def apply_update(graph, decomp, index, kind, u, v):
         decomp.support[f] += sign * n
     for f, (_old, new) in report.changed.items():
         wn[f] = new
-    if insert:
-        decomp.support[e] = len(through) // 3
-        wn.setdefault(e, 0)
-    else:
-        decomp.support.pop(e, None)
-        wn.pop(e, None)
+    decomp.support[e] = len(through) // 3
+    wn.setdefault(e, 0)
     t = _lap(report.timings, "walk", t)
 
     # one enumeration of the pairs that meet the scope feeds both surgery
     # passes; those that meet the classes the union pass absorbs are added
-    regain = set()
-    if not insert:
-        regain = {(u, w) if u < w else (w, u) for w in graph.adj_v.get(v, ())}
     blooms = {}
-    _blooms_meeting(graph, report.affected_edges, regain, blooms)
+    pairs = _blooms_meeting(graph, report.affected_edges, blooms)
     taken_in = _reclassify(index, wn, report, blooms)
     t = _lap(report.timings, "reclassify", t)
-    _blooms_meeting(graph, taken_in, regain, blooms)
-    _patch_counts(index, report, blooms, regain, wn, wn_old, class_old)
+    pairs += _blooms_meeting(graph, taken_in, blooms)
+    report.counters.update(pairs=pairs, blooms=len(blooms))
+    _patch_counts(index, report, blooms, wn, wn_old, class_old)
+    if not insert:
+        graph.delete_edge(u, v)
+        del decomp.support[e], wn[e]
     t = _lap(report.timings, "patch_counts", t)
 
     # defensive validation; fall back to a scratch rebuild on any violation

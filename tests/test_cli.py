@@ -352,7 +352,8 @@ class TestUpdate:
         counters = [line.split()[4:] for line in out.splitlines()
                     if line.startswith("# mutation ") and " counters " in line]
         assert [c[::2] for c in counters] == [
-            ["evaluations", "taken_in", "butterflies_scanned", "settled"]] * 2
+            ["evaluations", "taken_in", "butterflies_scanned", "settled",
+             "pairs", "blooms"]] * 2
         assert all(n.isdigit() for c in counters for n in c[1::2])
 
     def test_delete_missing_edge_changes_nothing(self, capsys, g_path,

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -725,6 +726,45 @@ class TestCountPatch:
             assert counts_by_members(index) == want, kind
             assert_matches_scratch(g, d, index)
         assert len(g.adj_u["v1"] & g.adj_u["v2"]) == 2
+
+
+class TestSurgeryCounters:
+    """`pairs` and `blooms` against every left-vertex pair of the graph that
+    holds e: surgery reads the pairs that meet the scope, then those that
+    meet the classes its union pass absorbs and are not blooms yet."""
+
+    @staticmethod
+    def meeting(graph, edges):
+        """pair -> its common neighbours, for each left-vertex pair that
+        shares a neighbour x with (u1, x) or (u2, x) in `edges`."""
+        out = {}
+        for a, b in itertools.combinations(sorted(graph.adj_u), 2):
+            common = graph.adj_u[a] & graph.adj_u[b]
+            if any((a, x) in edges or (b, x) in edges for x in common):
+                out[a, b] = common
+        return out
+
+    @pytest.mark.parametrize("kind, u, v", [
+        ("insert", "v4", "u6"), ("delete", "v7", "u6"),
+        ("delete", "v1", "u1"), ("insert", "v9", "u1"),
+    ])
+    def test_counts_match_a_brute_force(self, fig2_graph, kind, u, v):
+        g, d, index = fig2_state(fig2_graph)
+        scope = affected_edges(g, d, index, kind, u, v).affected_edges
+        holding_e = g.copy()
+        report = apply_update(g, d, index, kind, u, v)
+        if kind == "insert":
+            holding_e = g
+        first = self.meeting(holding_e, scope)
+        blooms = {p for p, common in first.items() if len(common) >= 2}
+        second = {p: common for p, common
+                  in self.meeting(holding_e, report.affected_edges - scope).items()
+                  if p not in blooms}
+        blooms |= {p for p, common in second.items() if len(common) >= 2}
+        assert report.counters["pairs"] == len(first) + len(second)
+        assert report.counters["blooms"] == len(blooms)
+        if (kind, u) == ("delete", "v7"):  # the union pass absorbs a class
+            assert second
 
 
 class TestFallbackValve:

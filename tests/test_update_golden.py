@@ -29,18 +29,32 @@ With `--reference` it runs the differential where classes have thousands
 of members: four seeded updates, each on a fresh build of the 52,587-edge
 criterion-9 graph. It prints one line per update: |changed|,
 |affected_edges|, the update's seconds, their ratio to the seconds of the
-build it ran on (peel, build and compress), the walk's work counters
+build it ran on (peel, build and compress), the work counters
 (`report.counters`), the seconds of each update phase (`report.timings`,
-`<phase>_s`), and the first 16 hex digits of the sha256 of the
-report lines, the sorted `changed` map and both index files. Compare the
+`<phase>_s`), the first 16 hex digits of the sha256 of the
+report lines, the sorted `changed` map and both index files, and
+`peak_rss_mb`, the process's peak resident set so far. Compare the
 hashes of two checkouts; the seconds depend on the machine, and the
 counters may vary a little with the string hash seed, which orders the
 walk. It takes a few minutes.
+
+With `--chained` it checks a maintained state against ground truth at
+that scale: one build of the criterion-9 graph, then the four reference
+updates and their undos in reverse order, each applied to the state the
+last one left, which has no bloom record, no edge order and node ids
+from surgery. After each update it peels, builds and compresses the same
+graph afresh and compares the two states with node ids left out (see
+`_compact`), and the `query_equiwing` and `query_comp` answers at k = 2,
+4 and 25 for both endpoints and two fixed vertices. It prints the line
+`--reference` prints, with `equal yes` or `equal no` and the parts that
+differ in place of the hash, and exits non-zero on any difference. An
+update that falls back to a rebuild counts as one.
 """
 
 import hashlib
 import os
 import random
+import resource
 import sys
 import time
 
@@ -151,27 +165,48 @@ REFERENCE_OPS = [
 ]
 
 
+def _reference_edges():
+    from wingsearch import generate_bipartite
+
+    return generate_bipartite(
+        2000, 2000, 0.0125, seed=91, blocks=((30, 30, 0.9),) * 3
+    )
+
+
+def _fresh(g):
+    """Peel, build and compress `g` from scratch: (decomp, index, comp)."""
+    from wingsearch import build_equiwing, compress, wing_decomposition
+
+    d = wing_decomposition(g)
+    index = build_equiwing(g, d)
+    return d, index, compress(index)
+
+
+def _op_line(report, update_s, rebuild_s, outcome):
+    """One line of `--reference` or `--chained` for `report`."""
+    kind, (u, v) = report.kind, report.edge
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return (
+        f"{kind} {u} {v} changed {len(report.changed)} "
+        f"affected_edges {len(report.affected_edges)} "
+        f"update_s {update_s:.2f} rebuild_s {rebuild_s:.2f} "
+        f"ratio {update_s / rebuild_s:.2f} "
+        + "".join(f"{k} {n} " for k, n in report.counters.items())
+        + "".join(f"{k}_s {s:.2f} " for k, s in report.timings.items())
+        + f"{outcome} peak_rss_mb {peak_mb:.1f}"
+    )
+
+
 def reference():
     """Yield one line per update of REFERENCE_OPS, each run on a fresh
     build of the criterion-9 graph."""
-    from wingsearch import (
-        apply_update_comp,
-        build_equiwing,
-        compress,
-        generate_bipartite,
-        serialize,
-        wing_decomposition,
-    )
+    from wingsearch import apply_update_comp, serialize
 
-    edges = generate_bipartite(
-        2000, 2000, 0.0125, seed=91, blocks=((30, 30, 0.9),) * 3
-    )
+    edges = _reference_edges()
     for kind, u, v in REFERENCE_OPS:
         g = build(edges)
         t0 = time.perf_counter()
-        d = wing_decomposition(g)
-        index = build_equiwing(g, d)
-        comp = compress(index)
+        d, index, comp = _fresh(g)
         t1 = time.perf_counter()
         report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
         t2 = time.perf_counter()
@@ -180,15 +215,64 @@ def reference():
             serialize(index),
             serialize(comp),
         ])
-        yield (
-            f"{kind} {u} {v} changed {len(report.changed)} "
-            f"affected_edges {len(report.affected_edges)} "
-            f"update_s {t2 - t1:.2f} rebuild_s {t1 - t0:.2f} "
-            f"ratio {(t2 - t1) / (t1 - t0):.2f} "
-            + "".join(f"{k} {n} " for k, n in report.counters.items())
-            + "".join(f"{k}_s {s:.2f} " for k, s in report.timings.items())
-            + f"sha {_sha(text)[:16]}"
-        )
+        yield _op_line(report, t2 - t1, t1 - t0, f"sha {_sha(text)[:16]}")
+
+
+def _compact(decomp, index, comp):
+    """The state with node ids left out, small enough to hold at scale:
+    each class is named by its level, its size, its smallest member and
+    the sha256 of its sorted members, and the justification counts and
+    the comp's super edges are keyed by those names. The comp's classes
+    are its groups."""
+
+    def names(ix):
+        return {s: (n.level, len(n.members), min(n.members),
+                    _sha(repr(sorted(n.members))))
+                for s, n in ix.nodes.items()}
+
+    def keyed(named, pairs):
+        return sorted((sorted((named[a], named[b])), n) for (a, b), n in pairs)
+
+    plain, groups = names(index), names(comp)
+    return {
+        "wing_numbers": decomp.wing_number,
+        "supports": decomp.support,
+        "classes": sorted(plain.values()),
+        "counts": keyed(plain, index.edge_counts.items()),
+        "comp_groups": sorted(groups.values()),
+        "comp_super_edges": keyed(groups, ((p, 1) for p in comp.super_edge_set)),
+    }
+
+
+def chained():
+    """Yield one line per update of REFERENCE_OPS and then of their undos
+    in reverse order, all applied to one maintained state and each
+    compared with a fresh build of the graph it leaves."""
+    from wingsearch import apply_update_comp, query_comp, query_equiwing
+
+    g = build(_reference_edges())
+    d, index, comp = _fresh(g)
+    top = max(sorted(d.wing_number), key=d.wing_number.get)
+    undo = {"insert": "delete", "delete": "insert"}
+    ops = REFERENCE_OPS + [(undo[k], u, v) for k, u, v in REFERENCE_OPS[::-1]]
+    for kind, u, v in ops:
+        t0 = time.perf_counter()
+        report, comp = apply_update_comp(g, d, index, comp, kind, u, v)
+        t1 = time.perf_counter()
+        fresh = _fresh(build(g.sorted_edges()))
+        t2 = time.perf_counter()
+        got, want = _compact(d, index, comp), _compact(*fresh)
+        # a fallback rebuilds the index, so equality after it shows nothing
+        differ = ["fell_back"] if report.fell_back else []
+        differ += [part for part in got if got[part] != want[part]]
+        for q in (u, v, "a0", top[0]):
+            for k in (2, 4, 25):
+                if (query_equiwing(index, q, k) != query_equiwing(fresh[1], q, k)
+                        or query_comp(comp, q, k) != query_comp(fresh[2], q, k)):
+                    differ.append(f"query:{q}:{k}")
+        del fresh, got, want
+        outcome = f"equal no {','.join(differ)}" if differ else "equal yes"
+        yield _op_line(report, t1 - t0, t2 - t1, outcome)
 
 
 def test_session_matches_golden():
@@ -206,10 +290,14 @@ def test_session_absorbs_several_classes_at_once():
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
-    if sys.argv[1:] in (["--digest"], ["--reference"]):
-        lines = digest() if sys.argv[1] == "--digest" else reference()
-        for line in lines:
+    modes = {"--digest": digest, "--reference": reference,
+             "--chained": chained}
+    if len(sys.argv) == 2 and sys.argv[1] in modes:
+        unequal = False
+        for line in modes[sys.argv[1]]():
             print(line, flush=True)
+            unequal |= " equal no " in line
+        sys.exit(1 if unequal else 0)
     else:
         with open(GOLDEN, "w", encoding="utf-8", newline="") as fh:
             fh.write(produce())
