@@ -21,9 +21,16 @@ later layer holds each edge as one tuple, created up front in sorted order.
 The same pass copies the runs into an immutable record for the index build
 (`bloom_runs`), before the peel consumes them. So a from-scratch rebuild
 enumerates the blooms once, and no wedge is ever looked up by its labels.
+
+The peel runs with the cyclic garbage collector paused (see collector.py):
+the bloom lists and `blooms_of` form no reference cycle, yet each young
+collection would rescan them. The collector's state comes back when the
+peel returns or raises; the pause assumes one thread builds at a time.
 """
 
 from array import array
+
+from .collector import paused_collector
 
 
 class WingDecomposition:
@@ -44,6 +51,7 @@ class WingDecomposition:
         return max(self.wing_number.values(), default=0)
 
 
+@paused_collector
 def wing_decomposition(graph):
     edges, runs = graph.blooms()
     # initial supports from blooms: each of a bloom's edges lies in

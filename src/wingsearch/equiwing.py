@@ -35,6 +35,13 @@ a compressed index is an EquiWingIndex whose `merge_log` is not None, queried
 by the same walk and written by the same serializer in its own layout. Files
 carry a version header and a trailing sha256 checksum, verified before any
 other parsing.
+
+`build_equiwing` (its union pass and its count pass) and the reader behind
+`deserialize` and `deserialize_comp` run with the cyclic garbage collector
+paused (see collector.py): the nodes, member tuples and maps they fill form
+no reference cycle, so collections inside them only rescan what reference
+counting already frees. The collector's state comes back when they return
+or raise; the pause assumes one thread builds or reads at a time.
 """
 
 import hashlib
@@ -43,6 +50,7 @@ from collections import deque
 from itertools import chain, compress, islice, repeat
 from operator import countOf, lt
 
+from .collector import paused_collector
 from .decomposition import wing_decomposition
 from .errors import IndexFormatError, InternalConsistencyError
 
@@ -406,6 +414,7 @@ def _runs(wedges, ends):
     return map(wedges.__getitem__, map(slice, chain((0,), ends), ends))
 
 
+@paused_collector
 def build_equiwing(graph, decomp=None):
     """The index of `graph` from its decomposition. Both passes, the union
     of each butterfly's min-level edges and the justification counts, read
@@ -661,6 +670,7 @@ def serialize(index):
     return body + f"checksum sha256 {_checksum(body)}\n"
 
 
+@paused_collector
 def _read(text, header, what):
     """Parse an index file whose first line must be `header`. The checksum
     is verified before anything else is read, and every malformation raises

@@ -273,6 +273,23 @@ class TestUpdate:
         index = deserialize(ew_path.read_text())
         assert len(index.nodes) == 6  # back to the original shape
 
+    def test_a_second_call_sees_only_its_own_mutations(self, capsys, g_path,
+                                                       ew_path):
+        """Calls share one parser; the mutation list is the call's own."""
+        code, _, _ = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(ew_path), "--insert", "v4:u6", "--delete", "v4:u6",
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(ew_path), "--delete", "v1:u1",
+        )
+        assert code == 0
+        assert "mutation 1 delete v1 u1" in out and "mutation 2" not in out
+        graph, _ = load_edge_list(str(g_path))
+        assert graph.num_edges == 24 and not graph.has_edge("v1", "u1")
+
     def test_comp_index_update(self, capsys, g_path, ewc_path):
         code, out, _ = run(
             capsys, "update", "--graph", str(g_path), "--index",
@@ -659,6 +676,31 @@ class TestExitCodes:
     def test_help_succeeds(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "usage:" in out
+
+
+class TestParserReuse:
+    def test_built_once_across_calls(self, capsys, monkeypatch, ew_path):
+        """One parser serves every call, and help and a bad subcommand
+        keep their exit codes on it."""
+        from wingsearch import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for argv, want in [
+                (["--help"], 0), (["frobnicate"], 3),
+                (["stats", "--index", str(ew_path)], 0),
+                (["query", "--index", str(ew_path), "-q", "v5", "-k", "3"], 0),
+                (["frobnicate"], 3), (["stats", "--help"], 0),
+                (["stats", "--index", str(ew_path)], 0),
+            ]:
+                assert run(capsys, *argv)[0] == want, argv
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
 
 
 class TestRepeatedCompUpdate:
