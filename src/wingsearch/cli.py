@@ -246,6 +246,8 @@ def cmd_update(args):
             f"{phase} {s:.6f}s" for phase, s in report.timings.items()))
         print(f"# mutation {i} counters " + " ".join(
             f"{name} {n}" for name, n in report.counters.items()))
+        if report.fell_back:
+            print(f"# mutation {i} fallback {report.fallback_reason}")
         for line in report.lines(i):
             print(line)
     print(f"# total update time {time.perf_counter() - total0:.6f}s")

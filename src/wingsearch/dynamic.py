@@ -51,10 +51,21 @@ blooms that meet them. A surviving class chained to them joins whole, and
 surviving classes chained to each other through a changed edge merge: an
 insert joins classes only there and never splits one. Either way the
 scope widens. The super edges' justification counts are then patched with
-the build's own bloom kernel, over the left-vertex pairs that meet the
-scope: one enumeration of them feeds both passes. The index is validated
-against the new wing numbers after every update; on any violation it is
-rebuilt from scratch and the report says so.
+the build's own bloom kernel, over the same blooms: one read of them
+feeds both passes. The index is validated against the new wing numbers
+after every update; on any violation it is rebuilt from scratch and the
+report says so.
+
+Surgery reads those blooms from the decomposition's `BloomMap`, which
+lives across updates: per edge, the left-vertex pairs whose bloom holds
+it, and per pair its flat wedge run, filled the first time an edge is
+read. An update of e = (u, v) moves only the entries of e and of the
+other three edges of each butterfly through e, and the runs of the pairs
+(u, u2) for u2 in N(v) (`BloomMap.invalidate` proves it). They are
+dropped right after an insert puts e in, and right after a delete takes
+it out, once surgery, which runs on G + e, has read them. So a class that
+updates re-form again and again costs no intersection after its first,
+and a cold map costs one intersection per pair per update.
 """
 
 from collections import Counter, defaultdict, deque
@@ -104,11 +115,16 @@ class UpdateReport:
     read, summed over evaluations) and `settled` (edges an insert left
     outside at their old values, though their caps allowed a rise);
     `apply_update` adds surgery's `pairs` (left-vertex pairs whose
-    neighbour sets `_blooms_meeting` intersects) and `blooms` (those it
-    keeps, which surgery reads).
+    neighbour sets the bloom map intersected, as scope edges it did not
+    hold yet were read), `blooms` (the blooms surgery reads), `cached`
+    (scope edges whose blooms came from the map) and `reformed` (the
+    classes surgery removed, absorbed ones included).
     `apply_update` fills `timings`, the seconds of each of its phases:
     `start`, `walk`, `reclassify`, `patch_counts` and `validate`;
-    `apply_update_comp` adds `compress`. No payload line prints them."""
+    `apply_update_comp` adds `compress`. When the check after surgery
+    fails, `fell_back` is set and `fallback_reason` keeps the first
+    problem it found. No payload line prints the counters, the timings
+    or the reason."""
 
     def __init__(self, kind, edge, upper_bound, delta):
         self.kind = kind
@@ -121,6 +137,7 @@ class UpdateReport:
         self.new_node_ids = []
         self.events = []
         self.fell_back = False
+        self.fallback_reason = None
         self.counters = {}
         self.timings = {}
 
@@ -375,9 +392,9 @@ def _scope(graph, decomp, index, report, through, gain):
 
 def affected_edges(graph, decomp, index, kind, u, v):
     """The update's report before any surgery: bound, delta, the scope and
-    `changed`. Mutates nothing: a delete reads the caller's graph, and an
-    insert a graph with the edge that copies only its two ends' neighbour
-    sets."""
+    `changed`. Mutates nothing and leaves the bloom map alone: a delete
+    reads the caller's graph, and an insert a graph with the edge that
+    copies only its two ends' neighbour sets."""
     report, through, gain = _start(graph, decomp.wing_number, kind, u, v)
     if kind == "insert":
         applied = BipartiteGraph()
@@ -388,49 +405,19 @@ def affected_edges(graph, decomp, index, kind, u, v):
     return report
 
 
-def _blooms_meeting(graph, edges, blooms):
-    """Add to `blooms`, pair -> common neighbours, each left-vertex pair u1
-    < u2 not in it yet that shares a neighbour x with (u1, x) in `edges`
-    and holds a butterfly: two or more common neighbours. On G + e' these
-    blooms hold every butterfly through `edges`, before and after. Returns
-    the number of pairs whose neighbour sets it intersects."""
-    adj_u, adj_v = graph.adj_u, graph.adj_v
-    pairs = set()
-    for u1, x in edges:
-        for u2 in adj_v.get(x, ()):
-            if u2 != u1:
-                pairs.add((u1, u2) if u1 < u2 else (u2, u1))
-    pairs.difference_update(blooms)
-    none = frozenset()
-    for pair in pairs:
-        common = adj_u.get(pair[0], none) & adj_u.get(pair[1], none)
-        if len(common) >= 2:
-            blooms[pair] = tuple(common)  # a quarter of a small set's bytes
-    return len(pairs)
-
-
-def _wedge_run(u1, u2, common):
-    """The bloom of u1 < u2 over `common` as a flat run of wedge tuples, as
-    `form_classes` and `add_bloom` take it."""
-    run = []
-    for x in common:
-        run += (u1, x), (u2, x)
-    return run
-
-
-def _reclassify(index, wn, report, blooms):
+def _reclassify(index, wn, report, runs):
     """Remove the scope's classes and re-form its edges of level >= 1 with
-    the build's union pass, over `blooms`, those that meet the scope. A
-    surviving class chained to them, or chained to another through a
-    changed edge, joins whole: the report takes in its id and members.
-    Returns the members so taken in. A butterfly with no scope edge holds
-    no changed edge and is not new, so it chains only edges that already
-    sit in one surviving class; no other bloom can move a class boundary,
-    and one that meets only an unclassed scope edge unites nothing new."""
+    the build's union pass, over the `runs` of the blooms that meet the
+    scope. A surviving class chained to them, or chained to another
+    through a changed edge, joins whole: the report takes in its id and
+    members. Returns the members so taken in. A butterfly with no scope
+    edge holds no changed edge and is not new, so it chains only edges
+    that already sit in one surviving class; no other bloom can move a
+    class boundary, and one that meets only an unclassed scope edge
+    unites nothing new."""
     for sid in report.affected_nodes:
         index.remove_node(sid)
     pool = {f for f in report.affected_edges if wn.get(f, 0) >= 1}
-    runs = (_wedge_run(u1, u2, common) for (u1, u2), common in blooms.items())
     taken_in = []
     for nid, absorbed in form_classes(index, runs, wn, pool):
         for node in absorbed:
@@ -444,17 +431,16 @@ def _reclassify(index, wn, report, blooms):
     return taken_in
 
 
-def _patch_counts(index, report, blooms, wn, wn_old, class_old):
-    """Patch the justification counts bloom by bloom. Each of `blooms`,
-    those that meet a scope edge, e' included, takes back its old bloom
+def _patch_counts(index, report, runs, wn, wn_old, class_old):
+    """Patch the justification counts bloom by bloom. Each of `runs`, the
+    blooms that meet a scope edge, e' included, takes back its old bloom
     under the old wing numbers and classes and adds its new one under the
     new maps. A pair that meets no scope edge holds only edges whose level
     and class did not move, so its two terms would cancel. On the side
     where e' is absent it has level 0 and no class, and adds nothing."""
     class_new = defaultdict(int, index.per_edge_node)
     delta = {}
-    for (u1, u2), common in blooms.items():
-        run = _wedge_run(u1, u2, common)
+    for run in runs:
         add_bloom(delta, run, wn, class_new, 1)
         add_bloom(delta, run, wn_old, class_old, -1)
 
@@ -483,12 +469,13 @@ def _lap(timings, phase, since):
 def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
     index in place; the decomposition's bloom record, which no longer
-    holds, is dropped; an index loaded without counts is checked by
-    `rebuild_edge_counts` first. A delete takes the edge out only once the
-    counts are patched. Returns the UpdateReport that `affected_edges`
-    would give, widened by the surgery. A compressed index is refused
-    before anything changes: update the plain one and compress it
-    afterwards, as `apply_update_comp` does."""
+    holds, is dropped, and its bloom map is read and kept in step; an
+    index loaded without counts is checked by `rebuild_edge_counts`
+    first. A delete takes the edge out only once the counts are patched.
+    Returns the UpdateReport that `affected_edges` would give, widened by
+    the surgery. A compressed index is refused before anything changes:
+    update the plain one and compress it afterwards, as
+    `apply_update_comp` does."""
     if index.merge_log is not None:
         raise InvalidArgumentError(
             "apply_update needs a plain index, not a compressed one")
@@ -505,8 +492,10 @@ def apply_update(graph, decomp, index, kind, u, v):
     t = _lap(report.timings, "start", t)
 
     decomp.bloom_runs = None  # the record holds only for the peeled graph
+    blooms = decomp.bloom_map
     if insert:
         graph.insert_edge(u, v)
+        blooms.invalidate(graph, e, through)
     _scope(graph, decomp, index, report, through, gain)
 
     sign = 1 if insert else -1
@@ -518,17 +507,21 @@ def apply_update(graph, decomp, index, kind, u, v):
     wn.setdefault(e, 0)
     t = _lap(report.timings, "walk", t)
 
-    # one enumeration of the pairs that meet the scope feeds both surgery
-    # passes; those that meet the classes the union pass absorbs are added
-    blooms = {}
-    pairs = _blooms_meeting(graph, report.affected_edges, blooms)
-    taken_in = _reclassify(index, wn, report, blooms)
+    # the scope's blooms feed both surgery passes; those of the classes the
+    # union pass absorbs are added. A delete still reads G + e
+    found, misses = {}, set()
+    pairs, cached = blooms.read(graph, wn, report.affected_edges, found,
+                                misses)
+    taken_in = _reclassify(index, wn, report, found.values())
     t = _lap(report.timings, "reclassify", t)
-    pairs += _blooms_meeting(graph, taken_in, blooms)
-    report.counters.update(pairs=pairs, blooms=len(blooms))
-    _patch_counts(index, report, blooms, wn, wn_old, class_old)
+    more, kept = blooms.read(graph, wn, taken_in, found, misses)
+    report.counters.update(pairs=pairs + more, blooms=len(found),
+                           cached=cached + kept,
+                           reformed=len(report.affected_nodes))
+    _patch_counts(index, report, found.values(), wn, wn_old, class_old)
     if not insert:
         graph.delete_edge(u, v)
+        blooms.invalidate(graph, e, through)
         del decomp.support[e], wn[e]
     t = _lap(report.timings, "patch_counts", t)
 
@@ -544,6 +537,7 @@ def apply_update(graph, decomp, index, kind, u, v):
             )
         index.replace_with(rebuilt)
         report.fell_back = True
+        report.fallback_reason = problems[0]
     _lap(report.timings, "validate", t)
     return report
 

@@ -7,6 +7,7 @@ import pytest
 
 from wingsearch import (
     BipartiteGraph,
+    EquiWingIndex,
     SuperNode,
     apply_update_comp,
     build_equiwing,
@@ -370,8 +371,33 @@ class TestUpdate:
                     if line.startswith("# mutation ") and " counters " in line]
         assert [c[::2] for c in counters] == [
             ["evaluations", "taken_in", "butterflies_scanned", "settled",
-             "pairs", "blooms"]] * 2
+             "pairs", "blooms", "cached", "reformed"]] * 2
         assert all(n.isdigit() for c in counters for n in c[1::2])
+        assert " fallback " not in out
+
+    def test_fallback_prints_its_reason(self, capsys, monkeypatch, g_path,
+                                        ew_path):
+        """A rebuild after surgery names, on a `# ` line, the first problem
+        of the check that triggered it; the payload says `fell_back yes`."""
+        real = EquiWingIndex.validate
+        checked = []
+
+        def failing_after_surgery(index, wing_number=None):
+            if wing_number is not None:  # the load's check, then surgery's
+                checked.append(index)
+                if len(checked) == 2:
+                    return ["node 1 sabotaged"]
+            return real(index, wing_number)
+
+        monkeypatch.setattr(EquiWingIndex, "validate", failing_after_surgery)
+        code, out, _ = run(
+            capsys, "update", "--graph", str(g_path), "--index",
+            str(ew_path), "--insert", "v4:u6",
+        )
+        assert code == 0 and len(checked) == 2
+        lines = out.splitlines()
+        assert "# mutation 1 fallback node 1 sabotaged" in lines
+        assert "fell_back yes" in lines and "event node 1 sabotaged" in lines
 
     def test_delete_missing_edge_changes_nothing(self, capsys, g_path,
                                                  ew_path):

@@ -299,6 +299,34 @@ class TestScope:
         assert (serialize(index), d.wing_number, d.support) == before
         assert frozen.sorted_edges() == fig2_graph.sorted_edges()
 
+    def test_scope_leaves_a_warm_state_unchanged(self, fig2_graph):
+        """`affected_edges` reads and writes nothing kept: not the graph,
+        the decomposition with its bloom map, warmed by earlier updates,
+        nor the index."""
+        g, d, index = fig2_state(fig2_graph)
+        for kind, u, v in [("insert", "v4", "u6"), ("delete", "v7", "u6")]:
+            apply_update(g, d, index, kind, u, v)
+        assert d.bloom_map.partners and d.bloom_map.runs
+
+        def state():
+            blooms = d.bloom_map
+            return (
+                {u: set(vs) for u, vs in g.adj_u.items()},
+                {v: set(us) for v, us in g.adj_v.items()},
+                dict(d.wing_number), dict(d.support), d.bloom_runs,
+                dict(blooms.partners), dict(blooms.runs),
+                serialize(index), dict(index.edge_counts),
+                set(index.super_edge_set), dict(index.per_edge_node),
+                {x: set(s) for x, s in index.vertex_seeds.items()},
+                index._next_id,
+            )
+
+        before = state()
+        for kind, u, v in [("insert", "v1", "u3"), ("delete", "v5", "u4"),
+                           ("insert", "v7", "u6"), ("delete", "v2", "u1")]:
+            affected_edges(g, d, index, kind, u, v)
+            assert state() == before, (kind, u, v)
+
     def test_scope_copies_no_graph(self, fig2_graph):
         class UncopiedGraph(BipartiteGraph):
             def copy(self):
@@ -729,9 +757,13 @@ class TestCountPatch:
 
 
 class TestSurgeryCounters:
-    """`pairs` and `blooms` against every left-vertex pair of the graph that
-    holds e: surgery reads the pairs that meet the scope, then those that
-    meet the classes its union pass absorbs and are not blooms yet."""
+    """Surgery's counters against every left-vertex pair of the graph that
+    holds e. It reads the blooms of the scope edges, those of the classes
+    its union pass absorbs included, from the decomposition's bloom map:
+    `cached` counts the edges found there, `pairs` the neighbour-set
+    intersections the rest cost, a pair at most once per update, and
+    `blooms` the pairs read with two or more common neighbours.
+    `reformed` counts the classes surgery removed."""
 
     @staticmethod
     def meeting(graph, edges):
@@ -749,22 +781,178 @@ class TestSurgeryCounters:
         ("delete", "v1", "u1"), ("insert", "v9", "u1"),
     ])
     def test_counts_match_a_brute_force(self, fig2_graph, kind, u, v):
+        """On a fresh decomposition the map is cold: each pair that meets
+        the edges read is intersected once."""
         g, d, index = fig2_state(fig2_graph)
         scope = affected_edges(g, d, index, kind, u, v).affected_edges
+        before = set(index.nodes)
         holding_e = g.copy()
         report = apply_update(g, d, index, kind, u, v)
         if kind == "insert":
             holding_e = g
-        first = self.meeting(holding_e, scope)
-        blooms = {p for p, common in first.items() if len(common) >= 2}
-        second = {p: common for p, common
-                  in self.meeting(holding_e, report.affected_edges - scope).items()
-                  if p not in blooms}
-        blooms |= {p for p, common in second.items() if len(common) >= 2}
-        assert report.counters["pairs"] == len(first) + len(second)
-        assert report.counters["blooms"] == len(blooms)
+        met = self.meeting(holding_e, report.affected_edges)
+        assert report.counters["pairs"] == len(met)
+        assert report.counters["blooms"] == sum(len(c) >= 2
+                                                for c in met.values())
+        assert report.counters["cached"] == 0
+        assert report.counters["reformed"] == len(before - set(index.nodes))
+        assert report.counters["reformed"] == len(report.affected_nodes)
         if (kind, u) == ("delete", "v7"):  # the union pass absorbs a class
-            assert second
+            assert report.affected_edges > scope
+
+    def test_later_updates_read_the_map(self, fig2_graph):
+        """Each update after the first finds in the map the edges an
+        earlier one read, but for those its invalidation dropped: e and
+        the edges of each butterfly through e, on the graph that holds e,
+        after an insert's edge goes in and after a delete's comes out. A
+        kept run is that of a pair whose common neighbours have not moved
+        since it was read."""
+        g, d, index = fig2_state(fig2_graph)
+        edges, runs = set(), {}  # what the map should hold
+        ops = [("insert", "v4", "u6"), ("delete", "v7", "u6"),
+               ("insert", "v1", "u3"), ("delete", "v1", "u1"),
+               ("insert", "v7", "u6")]
+        hits = 0
+        for kind, u, v in ops:
+            holding_e = g.copy()
+            holding_e.insert_edge(u, v)
+            dropped = {(u, v)} | {f for b in butterflies_through(
+                (u, v), holding_e.sorted_edges()) for f in butterfly_edges(b)}
+            if kind == "insert":
+                edges -= dropped
+            report = apply_update(g, d, index, kind, u, v)
+            read = report.affected_edges
+            cold = read - edges
+            met = self.meeting(holding_e, cold)
+            intersected = {p for p in met if runs.get(p) != met[p]}
+            blooms = {p for p, c in self.meeting(holding_e, read).items()
+                      if len(c) >= 2}
+            assert report.counters["cached"] == len(read & edges), kind
+            assert report.counters["pairs"] == len(intersected), kind
+            assert report.counters["blooms"] == len(blooms), kind
+            hits += report.counters["cached"]
+            edges |= read
+            runs.update((p, c) for p, c in met.items() if len(c) >= 2)
+            if kind == "delete":
+                edges -= dropped
+            none = set()
+            runs = {p: c for p, c in runs.items()
+                    if g.adj_u.get(p[0], none) & g.adj_u.get(p[1], none) == c}
+        assert hits > 0
+
+
+def assert_bloom_map_fresh(graph, decomp):
+    """Each entry the decomposition's bloom map keeps equals a fresh read
+    of the adjacency sets: an edge's pairs, as a set, are those whose
+    common neighbours hold it and number two or more, each with its run;
+    a run's wedges, as a set, are its pair's edges to those neighbours,
+    and each is the decomposition's own tuple, which the map keeps for
+    every edge of the graph and no other."""
+    adj_u, adj_v = graph.adj_u, graph.adj_v
+    blooms = decomp.bloom_map
+    key = {e: e for e in decomp.wing_number}
+    if blooms._key is not None:  # the tuples it takes runs from
+        assert blooms._key == key
+        assert all(key[e] is e for e in blooms._key)
+    for (u1, x), partners in blooms.partners.items():
+        assert graph.has_edge(u1, x), (u1, x)
+        assert len(set(partners)) == len(partners), (u1, x)
+        want = {u2 for u2 in adj_v[x]
+                if u2 != u1 and len(adj_u[u1] & adj_u[u2]) >= 2}
+        assert set(partners) == want, (u1, x)
+        for u2 in partners:
+            assert (min(u1, u2), max(u1, u2)) in blooms.runs, (u1, u2)
+    for (a, b), run in blooms.runs.items():
+        assert a < b
+        common = adj_u.get(a, set()) & adj_u.get(b, set())
+        assert len(common) >= 2, (a, b)
+        assert len(run) == 2 * len(common), (a, b)
+        assert set(run) == {(y, x) for x in common for y in (a, b)}, (a, b)
+        assert all(key[w] is w for w in run), (a, b)
+
+
+class TestBloomMap:
+    """The kept bloom map against a fresh read after every update:
+    `invalidate` must drop each entry that an update moves."""
+
+    @staticmethod
+    def warm(graph, decomp):
+        """Read every edge's blooms into the map."""
+        decomp.bloom_map.read(graph, decomp.wing_number, graph.sorted_edges(),
+                              {}, set())
+
+    @pytest.mark.parametrize("spec", [
+        (200, 200, 0.035, 91, [(12, 12, 0.9)] * 2),
+        (30, 30, 0.08, 3, [(8, 8, 0.85), (6, 6, 0.9)]),
+    ], ids=["1702-edges", "30x30"])
+    def test_stream_keeps_every_entry_fresh(self, spec):
+        """Seeded updates in undo pairs, then a drift: insert e, delete e,
+        delete f, insert g; the map fills as surgery reads."""
+        g = build(generate_bipartite(*spec))
+        d = wing_decomposition(g)
+        index = build_equiwing(g, d)
+        r = random.Random(23)
+        cached = 0
+        for step in range(200):
+            if step % 4 == 1:
+                kind = "delete"  # undo the insert before
+            elif step % 4 == 2:
+                kind, (u, v) = "delete", r.choice(g.sorted_edges())
+            else:
+                us, vs = sorted(g.adj_u), sorted(g.adj_v)
+                u, v = r.choice(us), r.choice(vs)
+                while g.has_edge(u, v):
+                    u, v = r.choice(us), r.choice(vs)
+                kind = "insert"
+            report = apply_update(g, d, index, kind, u, v)
+            assert report.fell_back is False, step
+            cached += report.counters["cached"]
+            assert_bloom_map_fresh(g, d)
+        assert cached > 0 and d.bloom_map.runs
+        assert_matches_scratch(g, d, index)
+
+    def test_insert_gives_a_pair_its_bloom(self, fig2_graph):
+        g, d, index = fig2_state(fig2_graph)
+        # (v1, v3) share u2 alone; with (v1, u3) they share u2 and u3
+        assert g.adj_u["v1"] & g.adj_u["v3"] == {"u2"}
+        self.warm(g, d)
+        assert ("v1", "v3") not in d.bloom_map.runs
+        apply_update(g, d, index, "insert", "v1", "u3")
+        assert_bloom_map_fresh(g, d)
+        self.warm(g, d)
+        assert set(d.bloom_map.runs["v1", "v3"]) == {
+            ("v1", "u2"), ("v3", "u2"), ("v1", "u3"), ("v3", "u3")}
+        assert_bloom_map_fresh(g, d)
+
+    def test_delete_takes_a_pair_bloom_away(self, fig2_graph):
+        g, d, index = fig2_state(fig2_graph)
+        assert g.adj_u["v1"] & g.adj_u["v2"] == {"u1", "u2"}
+        self.warm(g, d)
+        assert ("v1", "v2") in d.bloom_map.runs
+        apply_update(g, d, index, "delete", "v1", "u1")
+        assert ("v1", "v2") not in d.bloom_map.runs
+        assert_bloom_map_fresh(g, d)
+        self.warm(g, d)
+        assert ("v1", "v2") not in d.bloom_map.runs
+        assert_matches_scratch(g, d, index)
+
+    def test_delete_of_a_vertex_last_edge(self, fig2_graph):
+        """v1 keeps u2 alone, then loses it; a reinsert reads the graph
+        afresh, under the decomposition's new tuple for the edge."""
+        g, d, index = fig2_state(fig2_graph)
+        for u, v in [("v1", "u1"), ("v1", "u2")]:
+            self.warm(g, d)
+            apply_update(g, d, index, "delete", u, v)
+            assert_bloom_map_fresh(g, d)
+        assert "v1" not in g.adj_u
+        self.warm(g, d)
+        for u, v in [("v1", "u2"), ("v1", "u1")]:
+            apply_update(g, d, index, "insert", u, v)
+            assert_bloom_map_fresh(g, d)
+            self.warm(g, d)
+        assert ("v1", "v2") in d.bloom_map.runs
+        assert_bloom_map_fresh(g, d)
+        assert_matches_scratch(g, d, index)
 
 
 class TestFallbackValve:
@@ -776,6 +964,11 @@ class TestFallbackValve:
         index.edge_counts[(2, 3)] = 1
         report = apply_update(g, d, index, "insert", "v4", "u6")
         assert report.fell_back is True
+        # surgery re-forms class 3, so the check after it finds the super
+        # edge dangling; the first problem is kept, and listed as an event
+        reason = "super edge (2,3) touches a missing node"
+        assert report.fallback_reason == reason
+        assert f"event {reason}" in report.lines()
         assert index.validate() == []
         assert_matches_scratch(g, d, index)
 

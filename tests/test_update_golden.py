@@ -49,6 +49,15 @@ graph afresh and compares the two states with node ids left out (see
 `--reference` prints, with `equal yes` or `equal no` and the parts that
 differ in place of the hash, and exits non-zero on any difference. An
 update that falls back to a rebuild counts as one.
+
+With `--stream` it replays 300 seeded alternating inserts and deletes on
+the 1,702-edge graph of two 12x12 blocks, the graph of the benchmark's
+update-mixed workload, from one fresh build. It prints, over all updates
+and then per kind, the summed seconds of each update phase and the summed
+work counters, and then the memory the updates cost: tracemalloc's live
+growth and peak above the built state, and the process's peak resident
+set. It takes about 15 s, most of it under tracemalloc; the seconds
+depend on the machine.
 """
 
 import hashlib
@@ -71,17 +80,15 @@ def _sha(text):
 def session(edges, seed, steps):
     """Alternate seeded random inserts and deletes on the graph of `edges`,
     yielding (step, report, decomp, index, comp) after each update."""
-    from wingsearch import (
-        apply_update_comp,
-        build_equiwing,
-        compress,
-        wing_decomposition,
-    )
-
     g = build(edges)
-    d = wing_decomposition(g)
-    index = build_equiwing(g, d)
-    comp = compress(index)
+    d, index, comp = _fresh(g)
+    yield from updates(g, d, index, comp, seed, steps)
+
+
+def updates(g, d, index, comp, seed, steps):
+    """The updates of `session` on a built state."""
+    from wingsearch import apply_update_comp
+
     r = random.Random(seed)
     for i in range(1, steps + 1):
         if i % 2:
@@ -275,6 +282,59 @@ def chained():
         yield _op_line(report, t1 - t0, t2 - t1, outcome)
 
 
+def _tally(reports):
+    """One line per group, all updates and then each kind: how many, the
+    summed seconds of each phase (`report.timings`) and of the update, and
+    the summed work counters (`report.counters`)."""
+    groups = {"all": {}}
+    for report in reports:
+        for name in ("all", report.kind):
+            group = groups.setdefault(name, {})
+            group["updates"] = group.get("updates", 0) + 1
+            seconds = {f"{k}_s": s for k, s in report.timings.items()}
+            seconds["update_s"] = sum(report.timings.values())
+            for k, n in [*seconds.items(), *report.counters.items()]:
+                group[k] = group.get(k, 0) + n
+    for name, group in groups.items():
+        yield f"{name} " + " ".join(
+            f"{k} {n:.3f}" if k.endswith("_s") else f"{k} {n}"
+            for k, n in group.items())
+
+
+def stream(steps=300, seed=5):
+    """Yield the `--stream` lines: `_tally` of `steps` seeded alternating
+    updates on the 1,702-edge graph of two 12x12 blocks, then the memory
+    they cost. The updates run twice from the same fresh build: timed,
+    after which `peak_rss_mb` is the process's peak resident set, and then
+    under tracemalloc, whose `live_growth_mb` is what stays allocated once
+    the last update returns and `traced_peak_mb` the highest point above
+    the built state."""
+    import gc
+    import tracemalloc
+
+    from wingsearch import generate_bipartite
+
+    edges = generate_bipartite(200, 200, 0.035, 91, [(12, 12, 0.9)] * 2)
+    g = build(edges)
+    reports = [step[1] for step in updates(g, *_fresh(g), seed, steps)]
+    yield from _tally(reports)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    del reports
+    g = build(edges)
+    state = _fresh(g)
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    for _ in updates(g, *state, seed, steps):
+        pass
+    gc.collect()
+    live, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    yield (f"memory live_growth_mb {(live - base) / 2**20:.3f} "
+           f"traced_peak_mb {(peak - base) / 2**20:.3f} "
+           f"peak_rss_mb {peak_mb:.1f}")
+
+
 def test_session_matches_golden():
     with open(GOLDEN, encoding="utf-8", newline="") as fh:
         want = fh.read()
@@ -291,7 +351,7 @@ def test_session_absorbs_several_classes_at_once():
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
     modes = {"--digest": digest, "--reference": reference,
-             "--chained": chained}
+             "--chained": chained, "--stream": stream}
     if len(sys.argv) == 2 and sys.argv[1] in modes:
         unequal = False
         for line in modes[sys.argv[1]]():
