@@ -18,14 +18,13 @@ import sys
 import time
 
 from .baseline import baseline_search
-from .compress import components_top_down, compress, is_forest
+from .compress import check_comp, components_top_down, compress, is_forest
 from .decomposition import wing_decomposition
 from .dynamic import apply_update
 from .equiwing import (
     COMP_FORMAT_HEADER,
     FORMAT_HEADER,
     build_equiwing,
-    check_comp,
     deserialize,
     deserialize_comp,
     query_equiwing,
@@ -232,7 +231,7 @@ def cmd_update(args):
         # the file's merge log names ids of the build that wrote it, so
         # updates run on this build's index, compressed once at the end
         loaded, index = index, build_equiwing(graph, decomp)
-        check_comp(loaded, index, decomp)
+        check_comp(loaded, index)
     else:
         rebuild_edge_counts(index, graph, decomp)
     print(f"# check time {time.perf_counter() - t0:.6f}s")

@@ -3,10 +3,13 @@ the same connected component of the sub-super-graph induced on levels >= k
 answer identically for every query at k, so they merge into one node.
 
 As k falls, the components on levels >= k only merge, so one union-find
-pass from the top level down finds every level's groups, and the size of
-each level's biggest wing for `stats`; an update simply compresses again.
-The merged node keeps the smallest participating id and the merge log
-records old -> kept mappings so files stay self-describing.
+pass from the top level down finds every level's groups, the size of
+each level's biggest wing for `stats`, and whether the super graph is a
+forest; an update simply compresses again. The merged node keeps the
+smallest participating id and the merge log records old -> kept mappings
+so files stay self-describing. `compress` is the one definition of a
+compressed index: `check_comp` accepts a loaded file only if it equals
+`compress` of a fresh build, up to node ids.
 
 The result is an EquiWingIndex with `merge_log` set, so it is answered by the
 same walk and written by the same serializer: `query_comp` and
@@ -25,6 +28,7 @@ from .equiwing import (
     query_equiwing as query_comp,
     serialize as serialize_comp,
 )
+from .errors import InternalConsistencyError
 
 
 def components_top_down(index):
@@ -98,21 +102,36 @@ def compress(index):
 
 
 def is_forest(index):
-    """Whether the super graph is cycle-free (measured, not assumed)."""
-    adj = index.adjacency()
-    visited = set()
-    for start in index.nodes:
-        if start in visited:
-            continue
-        visited.add(start)
-        stack = [(start, None)]
-        while stack:
-            cur, parent = stack.pop()
-            for nb in adj[cur]:
-                if nb == parent:
-                    continue
-                if nb in visited:
-                    return False
-                visited.add(nb)
-                stack.append((nb, cur))
-    return True
+    """Whether the super graph is cycle-free (measured, not assumed): a
+    graph is a forest exactly when it has (nodes - components) edges, and
+    once every node is in, the roots of `components_top_down`'s union-find
+    are the components."""
+    parent = {}
+    for _level, _ids, parent, _largest in components_top_down(index):
+        pass
+    components = sum(1 for sid, root in parent.items() if sid == root)
+    return len(index.super_edge_set) == len(parent) - components
+
+
+def check_comp(comp, index):
+    """Raise unless the loaded compressed index `comp` is `compress(index)`
+    up to node ids, where `index` is a fresh build of the graph: the same
+    (level, members) nodes, the same super edges with each node named by
+    its members, and a merge log as long. A file that updates wrote, whose
+    ids are not a fresh build's, passes as well."""
+    want = compress(index)
+    id_of = {(n.level, n.members): sid for sid, n in want.nodes.items()}
+    rename = {sid: id_of.get((n.level, n.members))
+              for sid, n in comp.nodes.items()}
+    # the loaded nodes are disjoint, so those found name distinct nodes
+    if None in rename.values() or len(rename) != len(id_of):
+        problem = "its nodes are not the compressed classes"
+    elif {tuple(sorted((rename[a], rename[b])))
+          for a, b in comp.super_edge_set} != want.super_edge_set:
+        problem = "its super edges are not the compressed ones"
+    elif len(comp.merge_log) != len(want.merge_log):
+        problem = "its merge log has the wrong length"
+    else:
+        return
+    raise InternalConsistencyError(
+        f"compressed index does not match graph: {problem}")

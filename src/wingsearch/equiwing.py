@@ -512,23 +512,6 @@ def rebuild_edge_counts(index, graph, decomp):
     index.edge_counts = counts
 
 
-def check_comp(comp, index, decomp):
-    """Raise unless the compressed index `comp` describes the graph whose
-    decomposition is `decomp` and whose fresh build is `index`: it passes
-    `comp.validate(decomp.wing_number)`, and the classes of `index` that
-    each node's members fall in, which are disjoint, sum to the node's
-    size, so every node is a union of whole classes."""
-    nodes, class_of = index.nodes, index.per_edge_node
-    problems = comp.validate(decomp.wing_number) or [
-        f"node {n.sn_id} is not a union of classes"
-        for n in comp.nodes.values()
-        if sum(len(nodes[s].members) for s in {*map(class_of.get, n.members)})
-        != len(n.members)]
-    if problems:
-        raise InternalConsistencyError(
-            f"compressed index does not match graph: {problems[0]}")
-
-
 # -- queries ---------------------------------------------------------------
 
 

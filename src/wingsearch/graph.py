@@ -9,11 +9,14 @@ distinct. Canonical form is (u1, u2, v1, v2) with u1 < u2 and v1 < v2. A
 bloom folds the butterflies of one U pair u1 < u2 with at least two common
 neighbours; `blooms()` gives each as a run of integer edge ids, positions in
 the sorted edge list, so whole-graph passes never build an edge tuple.
+Two passes read butterflies: `all_butterflies` unfolds the blooms, and
+`butterfly_others` reads those through one edge from the adjacency sets.
 """
 
 import os
 import stat
 import tempfile
+from itertools import combinations
 
 from .errors import GraphFormatError, UnknownEdgeError
 
@@ -75,22 +78,11 @@ class BipartiteGraph:
         g.adj_v = {v: set(us) for v, us in self.adj_v.items()}
         return g
 
-    def butterflies_of_edge(self, u, v):
-        """Yield canonical butterflies containing (u,v). For an absent edge,
-        yield those that inserting it would close."""
-        vs = self.adj_u.get(u, frozenset())
-        for u2 in self.adj_v.get(v, ()):
-            if u2 == u:
-                continue
-            for v2 in vs & self.adj_u[u2]:
-                if v2 == v:
-                    continue
-                yield (min(u, u2), max(u, u2), min(v, v2), max(v, v2))
-
     def butterfly_others(self, u, v, intern):
         """One flat list of the other three edges (u, v2), (u2, v), (u2, v2)
-        of each butterfly through (u, v), in the order of
-        `butterflies_of_edge`, read straight from the adjacency sets. Every
+        of each butterfly through (u, v), for u2 in N(v) and then v2 in
+        N(u) & N(u2), read straight from the adjacency sets. For an absent
+        edge, those of the butterflies that inserting it would close. Every
         edge tuple is taken from the dict `intern`, so each edge is one
         object across calls."""
         vs = self.adj_u.get(u, frozenset())
@@ -110,20 +102,14 @@ class BipartiteGraph:
         return out
 
     def all_butterflies(self):
-        """Yield every butterfly exactly once, canonical order."""
-        us = sorted(self.adj_u)
-        for i, u1 in enumerate(us):
-            n1 = self.adj_u[u1]
-            seen = set()
-            for v in n1:
-                for u2 in self.adj_v[v]:
-                    if u2 <= u1 or u2 in seen:
-                        continue
-                    seen.add(u2)
-                    common = sorted(n1 & self.adj_u[u2])
-                    for a in range(len(common)):
-                        for b in range(a + 1, len(common)):
-                            yield (u1, u2, common[a], common[b])
+        """Yield every butterfly exactly once, in canonical form: each pair
+        v1 < v2 of the common neighbours of each `blooms()` run."""
+        edges, runs = self.blooms()
+        for run in runs:
+            u1, u2 = edges[run[0]][0], edges[run[1]][0]
+            common = [edges[a][1] for a in run[::2]]  # ascending
+            for v1, v2 in combinations(common, 2):
+                yield (u1, u2, v1, v2)
 
     def blooms(self):
         """(edges, runs): the sorted edge list, and every U pair u1 < u2

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -88,6 +89,37 @@ def bloom_triples(graph):
             common.append(xa)
         triples.append((u1, u2, common))
     return triples
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _compact(decomp, index, comp):
+    """The state with node ids left out, small enough to hold at scale,
+    every part a sorted list: the wing numbers and supports, and each class
+    named by its level, its size, its smallest member and the sha256 of its
+    sorted members, with the justification counts and the comp's super
+    edges keyed by those names. The comp's classes are its groups. Every
+    differential against a fresh rebuild compares this form."""
+
+    def names(ix):
+        return {s: (n.level, len(n.members), min(n.members),
+                    _sha(repr(sorted(n.members))))
+                for s, n in ix.nodes.items()}
+
+    def keyed(named, pairs):
+        return sorted((sorted((named[a], named[b])), n) for (a, b), n in pairs)
+
+    plain, groups = names(index), names(comp)
+    return {
+        "wing_numbers": sorted(decomp.wing_number.items()),
+        "supports": sorted(decomp.support.items()),
+        "classes": sorted(plain.values()),
+        "counts": keyed(plain, index.edge_counts.items()),
+        "comp_groups": sorted(groups.values()),
+        "comp_super_edges": keyed(groups, ((p, 1) for p in comp.super_edge_set)),
+    }
 
 
 def levelled_members(index):

@@ -209,6 +209,22 @@ def raise_level(comp, sn_id):
     comp.add_node(SuperNode(sn_id, node.level + 1, node.members))
 
 
+def merge_nodes(comp, pair):
+    """Merge node b into node a, with its super edges and a merge log
+    entry, as if the two were one compressed group."""
+    a, b = pair
+    kept, gone = comp.remove_node(a), comp.remove_node(b)
+    comp.add_node(SuperNode(a, kept.level, kept.members | gone.members))
+    comp.super_edge_set = {tuple(sorted(a if s == b else s for s in p))
+                           for p in comp.super_edge_set}
+    comp.merge_log = sorted(comp.merge_log + [(b, a)])
+
+
+def move_super_edge(comp, edges):
+    old, new = edges
+    comp.super_edge_set = comp.super_edge_set - {old} | {new}
+
+
 class TestUpdate:
     def test_insert_reports_and_rewrites(self, capsys, tmp_path, g_path,
                                          ew_path):
@@ -303,6 +319,8 @@ class TestUpdate:
 
     def test_comp_update_compresses_once(self, capsys, monkeypatch, g_path,
                                          ewc_path):
+        """The updated index is compressed once, after the last mutation;
+        `check_comp`'s compression of the fresh build is not counted."""
         from wingsearch import cli, dynamic
 
         calls = []
@@ -446,15 +464,20 @@ class TestUpdate:
             assert code == 4, node
             assert "index super edges do not match the graph" in err
 
-    @pytest.mark.parametrize("corrupt, sn_id", [
+    @pytest.mark.parametrize("corrupt, where", [
         (split_off_one, 4),  # node 4 is the whole of class 4
         (raise_level, 6),
         (leave_out, 5),
-    ], ids=["part-of-a-class", "wrong-level", "class-left-out"])
+        # level-3 nodes 4 and 5 lie in different 3-wings: merged, the file
+        # answers -q u3 -k 3 with 19 edges instead of 8
+        (merge_nodes, (4, 5)),
+        (move_super_edge, ((2, 6), (1, 6))),
+    ], ids=["part-of-a-class", "wrong-level", "class-left-out",
+            "two-wings-merged", "super-edge-moved"])
     def test_comp_file_of_another_graph_is_internal_error(
-            self, capsys, g_path, ewc_path, corrupt, sn_id):
+            self, capsys, g_path, ewc_path, corrupt, where):
         comp = deserialize_comp(ewc_path.read_text())
-        corrupt(comp, sn_id)
+        corrupt(comp, where)
         assert comp.validate() == []
         ewc_path.write_text(serialize(comp))
         before = g_path.read_bytes(), ewc_path.read_bytes()
@@ -464,6 +487,23 @@ class TestUpdate:
         )
         assert code == 4 and "compressed index does not match graph" in err
         assert (g_path.read_bytes(), ewc_path.read_bytes()) == before
+
+    def test_comp_file_that_updates_wrote_passes(self, capsys, tmp_path,
+                                                g_path, ewc_path):
+        """A comp file that `update` wrote keeps surgery's node ids, not a
+        fresh build's, and the next `update` still accepts it."""
+        fresh = tmp_path / "fresh.ewc"
+        for flag, edge in [("--insert", "v4:u6"), ("--delete", "v6:u4"),
+                           ("--insert", "v1:u3")]:
+            code, _, err = run(
+                capsys, "update", "--graph", str(g_path), "--index",
+                str(ewc_path), flag, edge,
+            )
+            assert code == 0, err
+            code, _, _ = run(capsys, "build", "--graph", str(g_path),
+                             "--out", str(fresh), "--comp")
+            assert code == 0
+            assert ewc_path.read_text() != fresh.read_text()
 
     def test_no_mutations_rejected(self, capsys, g_path, ew_path):
         code, _, _ = run(

@@ -78,14 +78,9 @@ def fig2_state(fig2_graph):
 
 
 class CountingGraph(BipartiteGraph):
-    """Counts butterfly enumerations: `butterflies_of_edge` and
-    `butterfly_others` calls."""
+    """Counts butterfly enumerations: `butterfly_others` calls."""
 
     calls = 0
-
-    def butterflies_of_edge(self, u, v):
-        self.calls += 1
-        return super().butterflies_of_edge(u, v)
 
     def butterfly_others(self, u, v, intern):
         self.calls += 1
@@ -94,17 +89,13 @@ class CountingGraph(BipartiteGraph):
 
 class RecordingGraph(BipartiteGraph):
     """Records the edge of every butterfly enumeration, a
-    `butterflies_of_edge` or `butterfly_others` call, in `read`."""
+    `butterfly_others` call, in `read`."""
 
     def __init__(self, edges=()):
         super().__init__()
         self.read = []
         for u, v in edges:
             self.insert_edge(u, v)
-
-    def butterflies_of_edge(self, u, v):
-        self.read.append((u, v))
-        return super().butterflies_of_edge(u, v)
 
     def butterfly_others(self, u, v, intern):
         self.read.append((u, v))
@@ -526,8 +517,7 @@ class TestApplyInsert:
                       if f != e and w > old.get(f, 0)}
             for x in risers:
                 assert new[x] <= new[e], (x, e)
-                partners = {f for b in g.butterflies_of_edge(*x)
-                            for f in butterfly_edges(b)}
+                partners = set(g.butterfly_others(*x, {}))
                 assert e in partners or any(
                     f in risers and old[f] <= old[x] < new[f]
                     for f in partners), (x, e)
@@ -598,7 +588,7 @@ class TestApplyDelete:
         dying butterfly's edges and the changed ones, not the block."""
         g, d, index = square_chain()
         e = (f"a{square:03}", f"b{square + 1:03}")
-        (dying,) = g.butterflies_of_edge(*e)
+        (dying,) = butterflies_through(e, g.sorted_edges())
         g.calls = 0
         report = apply_update(g, d, index, "delete", *e)
         # one call takes the dying butterflies; the fixpoint enumerates once

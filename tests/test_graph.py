@@ -8,12 +8,11 @@ from wingsearch import BipartiteGraph, wing_decomposition
 from wingsearch.errors import GraphFormatError, UnknownEdgeError
 from wingsearch.graph import (
     atomic_write_text,
-    butterfly_edges,
     load_edge_list,
     save_edge_list,
 )
 
-from conftest import FIG2_EDGES, bloom_triples, random_bipartite_edges
+from conftest import FIG2_EDGES, bloom_triples, build, random_bipartite_edges
 
 
 class TestLoading:
@@ -91,23 +90,31 @@ class TestButterflies:
             assert support[e] == oracles.support_of(e, fig2_edges) == n
 
     def test_butterflies_containing_edge(self, fig2_graph, fig2_edges):
-        bs = sorted(fig2_graph.butterflies_of_edge("v7", "u6"))
-        assert bs == oracles.butterflies_through(("v7", "u6"), fig2_edges)
-        assert len(bs) == 5
-        for b in bs:
-            assert ("v7", "u6") in butterfly_edges(b)
+        got = trios(fig2_graph.butterfly_others("v7", "u6", {}))
+        assert got == oracle_trios(("v7", "u6"), fig2_edges)
+        assert len(got) == 5
+        for trio in got:
+            assert len({("v7", "u6"), *trio}) == 4
 
     def test_all_butterflies_matches_oracle(self, fig2_graph, fig2_edges):
-        got = set(fig2_graph.all_butterflies())
-        assert got == set(oracles.enumerate_butterflies(fig2_edges))
+        got = list(fig2_graph.all_butterflies())
+        assert len(got) == len(set(got))
+        assert set(got) == set(oracles.enumerate_butterflies(fig2_edges))
 
     def test_canonical_across_anchors(self, fig2_graph):
-        via_a = set(fig2_graph.butterflies_of_edge("v5", "u5"))
-        via_b = set(fig2_graph.butterflies_of_edge("v6", "u5"))
-        shared = via_a & via_b
-        assert shared  # both edges sit in common butterflies
-        for u1, u2, v1, v2 in via_a | via_b:
+        """A butterfly met through either of two of its edges is the one
+        canonical tuple that `all_butterflies` yields."""
+        every = set(fig2_graph.all_butterflies())
+        for u1, u2, v1, v2 in every:
             assert u1 < u2 and v1 < v2
+        via = []
+        for u, v in [("v5", "u5"), ("v6", "u5")]:
+            others = fig2_graph.butterfly_others(u, v, {})
+            via.append({
+                (min(u, u2), max(u, u2), min(v, v2), max(v, v2))
+                for (_u, v2), (u2, _v) in zip(others[::3], others[1::3])})
+            assert via[-1] <= every
+        assert via[0] & via[1]  # both edges sit in common butterflies
 
     def test_support_sum_is_four_times_butterflies(self, rng):
         for _ in range(10):
@@ -147,38 +154,45 @@ class TestButterflies:
         graph include edges with one or both endpoints new."""
         for _ in range(10):
             edges = random_bipartite_edges(rng, 7, 7, 0.45)
-            g = BipartiteGraph()
-            for u, v in edges:
-                g.insert_edge(u, v)
+            g = build(edges)
             for u in (f"a{i}" for i in range(9)):
                 for v in (f"b{j}" for j in range(9)):
-                    if g.has_edge(u, v):
-                        continue
-                    got = list(g.butterflies_of_edge(u, v))
-                    want = oracles.butterflies_through((u, v), edges + [(u, v)])
-                    assert sorted(got) == sorted(want), (u, v)
+                    if not g.has_edge(u, v):
+                        got = trios(g.butterfly_others(u, v, {}))
+                        assert got == oracle_trios((u, v), edges)
             assert g.sorted_edges() == sorted(edges)
 
     def test_butterfly_others_flattens_butterflies_of_edge(self, rng):
-        """The other three edges of each butterfly through (u, v), in
-        `butterflies_of_edge` order, one object per edge across calls; for
-        present and absent edges alike."""
+        """The other three edges of each butterfly through (u, v), as the
+        oracle finds them, one object per edge across calls; for present
+        and absent edges alike."""
         for _ in range(10):
             edges = random_bipartite_edges(rng, 7, 7, 0.45)
-            g = BipartiteGraph()
-            for u, v in edges:
-                g.insert_edge(u, v)
+            g = build(edges)
             intern = {}
             for u in (f"a{i}" for i in range(8)):
                 for v in (f"b{j}" for j in range(8)):
-                    want = []
-                    for b in g.butterflies_of_edge(u, v):
-                        u2 = b[1] if b[0] == u else b[0]
-                        v2 = b[3] if b[2] == v else b[2]
-                        want += [(u, v2), (u2, v), (u2, v2)]
                     got = g.butterfly_others(u, v, intern)
-                    assert got == want, (u, v)
+                    assert trios(got) == oracle_trios((u, v), edges)
                     assert all(intern[f] is f for f in got)
+
+
+def trios(others):
+    """A `butterfly_others` list cut into its trios (u, v2), (u2, v),
+    (u2, v2), sorted."""
+    return sorted(zip(others[::3], others[1::3], others[2::3]))
+
+
+def oracle_trios(edge, edges):
+    """The same trios from the oracle's butterflies through `edge` in the
+    graph on `edges`, with `edge` added if it is absent."""
+    u, v = edge
+    out = []
+    for u1, u2, v1, v2 in oracles.butterflies_through(edge, edges + [edge]):
+        u2 = u2 if u1 == u else u1
+        v2 = v2 if v1 == v else v1
+        out.append(((u, v2), (u2, v), (u2, v2)))
+    return sorted(out)
 
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):

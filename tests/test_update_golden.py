@@ -14,11 +14,10 @@ With `--digest` the script writes nothing. It runs the same kind of session
 on several more planted-block graphs (1,200 updates) and prints one line per
 step: the first 16 hex digits of the sha256 of the report lines, of the
 sorted `changed` map, of the plain and the compressed index files, of
-the sorted `edge_counts`, and of the state with every node id left out:
-the wing numbers, the classes as (level, members), the counts keyed by
-member sets and the compressed groups. The last column lets a
-differential survive a deliberate change of node ids. To compare the
-update paths of two checkouts, run
+the sorted `edge_counts`, and of the state with every node id left out
+(`_compact` in conftest.py, the form every differential compares). The
+last column lets a differential survive a deliberate change of node ids.
+To compare the update paths of two checkouts, run
 
     python tests/test_update_golden.py --digest > digest.txt
 
@@ -33,10 +32,11 @@ build it ran on (peel, build and compress), the work counters
 (`report.counters`), the seconds of each update phase (`report.timings`,
 `<phase>_s`), the first 16 hex digits of the sha256 of the
 report lines, the sorted `changed` map and both index files, and
-`peak_rss_mb`, the process's peak resident set so far. Compare the
-hashes of two checkouts; the seconds depend on the machine, and the
-counters may vary a little with the string hash seed, which orders the
-walk. It takes a few minutes.
+`peak_rss_mb`, the process's peak resident set so far. An update that
+fell back to a rebuild prints `fell_back` and its reason before the
+hash. Compare the hashes of two checkouts; the seconds depend on the
+machine, and the counters may vary a little with the string hash seed,
+which orders the walk. It takes a few minutes.
 
 With `--chained` it checks a maintained state against ground truth at
 that scale: one build of the criterion-9 graph, then the four reference
@@ -44,11 +44,11 @@ updates and their undos in reverse order, each applied to the state the
 last one left, which has no bloom record, no edge order and node ids
 from surgery. After each update it peels, builds and compresses the same
 graph afresh and compares the two states with node ids left out (see
-`_compact`), and the `query_equiwing` and `query_comp` answers at k = 2,
-4 and 25 for both endpoints and two fixed vertices. It prints the line
-`--reference` prints, with `equal yes` or `equal no` and the parts that
-differ in place of the hash, and exits non-zero on any difference. An
-update that falls back to a rebuild counts as one.
+`_compact` in conftest.py), and the `query_equiwing` and `query_comp`
+answers at k = 2, 4 and 25 for both endpoints and two fixed vertices. It
+prints the line `--reference` prints, with `equal yes` or `equal no` and
+the parts that differ in place of the hash, and exits non-zero on any
+difference. An update that falls back to a rebuild counts as one.
 
 With `--stream` it replays 300 seeded alternating inserts and deletes on
 the 1,702-edge graph of two 12x12 blocks, the graph of the benchmark's
@@ -60,21 +60,16 @@ set. It takes about 15 s, most of it under tracemalloc; the seconds
 depend on the machine.
 """
 
-import hashlib
 import os
 import random
 import resource
 import sys
 import time
 
-from conftest import build
+from conftest import _compact, _sha, build
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "update-session.txt")
-
-
-def _sha(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def session(edges, seed, steps):
@@ -116,25 +111,6 @@ def produce():
     return "".join(line + "\n" for line in out)
 
 
-def _id_free(decomp, index, comp):
-    """The maintained state with each node id replaced by its members."""
-
-    def classes(ix):
-        return sorted((n.level, n.ordered()) for n in ix.nodes.values())
-
-    def pairs(ix, values):
-        named = {s: n.ordered() for s, n in ix.nodes.items()}
-        return sorted((sorted((named[a], named[b])), n) for (a, b), n in values)
-
-    return repr([
-        sorted(decomp.wing_number.items()),
-        classes(index),
-        pairs(index, index.edge_counts.items()),
-        classes(comp),
-        pairs(comp, ((s, 1) for s in comp.super_edge_set)),
-    ])
-
-
 def digest():
     """Yield one line of hashes per step of the differential sessions:
     twelve 30x30 graphs of 80 steps, a 60x60 graph and the 1,702-edge
@@ -157,7 +133,7 @@ def digest():
                 serialize(index),
                 serialize(comp),
                 repr(sorted(index.edge_counts.items())),
-                _id_free(d, index, comp),
+                repr(_compact(d, index, comp)),
             ]
             yield " ".join([name, str(i)] + [_sha(t)[:16] for t in texts])
 
@@ -200,6 +176,7 @@ def _op_line(report, update_s, rebuild_s, outcome):
         f"ratio {update_s / rebuild_s:.2f} "
         + "".join(f"{k} {n} " for k, n in report.counters.items())
         + "".join(f"{k}_s {s:.2f} " for k, s in report.timings.items())
+        + (f"fell_back {report.fallback_reason} " if report.fell_back else "")
         + f"{outcome} peak_rss_mb {peak_mb:.1f}"
     )
 
@@ -223,32 +200,6 @@ def reference():
             serialize(comp),
         ])
         yield _op_line(report, t2 - t1, t1 - t0, f"sha {_sha(text)[:16]}")
-
-
-def _compact(decomp, index, comp):
-    """The state with node ids left out, small enough to hold at scale:
-    each class is named by its level, its size, its smallest member and
-    the sha256 of its sorted members, and the justification counts and
-    the comp's super edges are keyed by those names. The comp's classes
-    are its groups."""
-
-    def names(ix):
-        return {s: (n.level, len(n.members), min(n.members),
-                    _sha(repr(sorted(n.members))))
-                for s, n in ix.nodes.items()}
-
-    def keyed(named, pairs):
-        return sorted((sorted((named[a], named[b])), n) for (a, b), n in pairs)
-
-    plain, groups = names(index), names(comp)
-    return {
-        "wing_numbers": decomp.wing_number,
-        "supports": decomp.support,
-        "classes": sorted(plain.values()),
-        "counts": keyed(plain, index.edge_counts.items()),
-        "comp_groups": sorted(groups.values()),
-        "comp_super_edges": keyed(groups, ((p, 1) for p in comp.super_edge_set)),
-    }
 
 
 def chained():
