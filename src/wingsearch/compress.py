@@ -9,7 +9,8 @@ forest; an update simply compresses again. The merged node keeps the
 smallest participating id and the merge log records old -> kept mappings
 so files stay self-describing. `compress` is the one definition of a
 compressed index: `check_comp` accepts a loaded file only if it equals
-`compress` of a fresh build, up to node ids.
+`compress` of a fresh build up to node ids, by the check
+(`equiwing.id_map`) that a plain file passes against the build itself.
 
 The result is an EquiWingIndex with `merge_log` set, so it is answered by the
 same walk and written by the same serializer: `query_comp` and
@@ -25,10 +26,10 @@ from .equiwing import (
     SuperNode,
     deserialize_comp,
     find_root,
+    id_map,
     query_equiwing as query_comp,
     serialize as serialize_comp,
 )
-from .errors import InternalConsistencyError
 
 
 def components_top_down(index):
@@ -115,23 +116,7 @@ def is_forest(index):
 
 def check_comp(comp, index):
     """Raise unless the loaded compressed index `comp` is `compress(index)`
-    up to node ids, where `index` is a fresh build of the graph: the same
-    (level, members) nodes, the same super edges with each node named by
-    its members, and a merge log as long. A file that updates wrote, whose
-    ids are not a fresh build's, passes as well."""
-    want = compress(index)
-    id_of = {(n.level, n.members): sid for sid, n in want.nodes.items()}
-    rename = {sid: id_of.get((n.level, n.members))
-              for sid, n in comp.nodes.items()}
-    # the loaded nodes are disjoint, so those found name distinct nodes
-    if None in rename.values() or len(rename) != len(id_of):
-        problem = "its nodes are not the compressed classes"
-    elif {tuple(sorted((rename[a], rename[b])))
-          for a, b in comp.super_edge_set} != want.super_edge_set:
-        problem = "its super edges are not the compressed ones"
-    elif len(comp.merge_log) != len(want.merge_log):
-        problem = "its merge log has the wrong length"
-    else:
-        return
-    raise InternalConsistencyError(
-        f"compressed index does not match graph: {problem}")
+    up to node ids (see `id_map`), where `index` is a fresh build of the
+    graph. A file that updates wrote, whose ids are not a fresh build's,
+    passes as well."""
+    id_map(comp, compress(index))

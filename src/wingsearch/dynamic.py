@@ -470,8 +470,9 @@ def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
     index in place; the decomposition's bloom record, which no longer
     holds, is dropped, and its bloom map is read and kept in step; an
-    index loaded without counts is checked by `rebuild_edge_counts`
-    first. A delete takes the edge out only once the counts are patched.
+    index loaded without counts first gets those of a fresh build from
+    `rebuild_edge_counts`, which raises unless it is that build up to node
+    ids. A delete takes the edge out only once the counts are patched.
     Returns the UpdateReport that `affected_edges` would give, widened by
     the surgery. A compressed index is refused before anything changes:
     update the plain one and compress it afterwards, as

@@ -34,7 +34,8 @@ Compression (see compress.py) yields the same structure plus a merge log;
 a compressed index is an EquiWingIndex whose `merge_log` is not None, queried
 by the same walk and written by the same serializer in its own layout. Files
 carry a version header and a trailing sha256 checksum, verified before any
-other parsing.
+other parsing. A loaded file describes a graph when it equals a fresh build
+of it, or that build's compression, up to node ids (`id_map`).
 
 `build_equiwing` (its union pass and its count pass) and the reader behind
 `deserialize` and `deserialize_comp` run with the cyclic garbage collector
@@ -427,21 +428,14 @@ def build_equiwing(graph, decomp=None):
     index = EquiWingIndex()
     pool = (i for i, w in enumerate(levels) if w >= 1)
     form_classes(index, _runs(*record), levels, pool, edges)
-    index.edge_counts, classes = _edge_counts(edges, levels, record,
-                                              index.per_edge_node)
-    index.super_edge_set = set(index.edge_counts)
-    index._order = EdgeOrder(edges, classes)
-    return index
-
-
-def _edge_counts(edges, levels, record, class_of):
-    """Butterfly justification count of every super edge, bloom by bloom,
-    and the class of each edge of `edges` (0 for none)."""
-    classes = list(map(class_of.get, edges, repeat(0)))
-    counts = {}
+    # the count pass: every super edge's justification count, bloom by bloom
+    classes = list(map(index.per_edge_node.get, edges, repeat(0)))
+    index.edge_counts = counts = {}
     for run in _runs(*record):
         add_bloom(counts, run, levels, classes, 1)
-    return counts, classes
+    index.super_edge_set = set(counts)
+    index._order = EdgeOrder(edges, classes)
+    return index
 
 
 def add_bloom(counts, run, level, cls, sign):
@@ -493,23 +487,37 @@ def add_bloom(counts, run, level, cls, sign):
                     counts[pair] = counts.get(pair, 0) + weight
 
 
+def id_map(index, want):
+    """Map each node id of `want` to the id of `index`'s node with the same
+    level and members. Raises unless `index` is `want` up to node ids: the
+    same (level, members) nodes, the same super edges with each node named
+    by its members, and a merge log as long (none counts as empty)."""
+    id_of = {(n.level, n.members): sid for sid, n in index.nodes.items()}
+    rename = {sid: id_of.get((n.level, n.members))
+              for sid, n in want.nodes.items()}
+    # want's nodes are distinct, so those found name distinct nodes
+    if None in rename.values() or len(rename) != len(index.nodes):
+        problem = "its nodes are not the graph's classes"
+    elif {tuple(sorted((rename[a], rename[b])))
+          for a, b in want.super_edge_set} != index.super_edge_set:
+        problem = "its super edges are not the graph's"
+    elif len(index.merge_log or ()) != len(want.merge_log or ()):
+        problem = "its merge log has the wrong length"
+    else:
+        return rename
+    kind = "index" if want.merge_log is None else "compressed index"
+    raise InternalConsistencyError(f"{kind} does not match graph: {problem}")
+
+
 def rebuild_edge_counts(index, graph, decomp):
-    """Recompute justification counts from the graph (they are derived and
-    not serialized). Raises if the graph, of decomposition `decomp`, and the
-    index disagree: in `index.validate(decomp.wing_number)` or in the super
-    edges."""
-    problems = index.validate(decomp.wing_number)
-    if problems:
-        raise InternalConsistencyError(
-            f"index does not match graph: {problems[0]}")
-    counts, _classes = _edge_counts(*_by_id(graph, decomp),
-                                    index.per_edge_node)
-    if set(counts) != index.super_edge_set:
-        raise InternalConsistencyError(
-            "index super edges do not match the graph; was the index built "
-            "from this graph?"
-        )
-    index.edge_counts = counts
+    """Give a loaded plain index its justification counts (they are derived
+    and not serialized): those of a fresh build of the graph of `decomp`,
+    under the index's own node ids. Raises, with the index unchanged,
+    unless it is that build up to node ids (see `id_map`)."""
+    fresh = build_equiwing(graph, decomp)
+    own = id_map(index, fresh)
+    index.edge_counts = {tuple(sorted((own[a], own[b]))): n
+                         for (a, b), n in fresh.edge_counts.items()}
 
 
 # -- queries ---------------------------------------------------------------

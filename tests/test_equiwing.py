@@ -686,6 +686,34 @@ class TestSerialization:
         rebuild_edge_counts(loaded, fig2_graph, wing_decomposition(fig2_graph))
         assert loaded.edge_counts == counts
 
+    def test_rebuild_counts_under_surgery_ids(self, fig2_graph):
+        """After updates the node ids are surgery's, not a fresh build's;
+        a loaded copy still gets the maintained counts under its own ids."""
+        g, d = fig2_graph, wing_decomposition(fig2_graph)
+        index = build_equiwing(g, d)
+        for kind, u, v in [("insert", "v4", "u6"), ("delete", "v6", "u4"),
+                           ("insert", "v1", "u3")]:
+            apply_update(g, d, index, kind, u, v)
+        assert serialize(index) != serialize(build_equiwing(g))
+        loaded = deserialize(serialize(index))
+        rebuild_edge_counts(loaded, g, wing_decomposition(g))
+        assert loaded.edge_counts == index.edge_counts
+
+    def test_rebuild_counts_rejects_merged_wings(self, fig2_graph):
+        """Level-3 nodes 4 and 5 lie in different 3-wings: merged, the
+        file passes the reader's check but is not the graph's index."""
+        loaded = deserialize(serialize(build_equiwing(fig2_graph)))
+        kept, gone = loaded.remove_node(4), loaded.remove_node(5)
+        loaded.add_node(SuperNode(4, kept.level, kept.members | gone.members))
+        loaded.super_edge_set = {tuple(sorted(4 if s == 5 else s for s in p))
+                                 for p in loaded.super_edge_set}
+        assert loaded.validate() == []
+        with pytest.raises(InternalConsistencyError,
+                           match="its nodes are not the graph's classes"):
+            rebuild_edge_counts(loaded, fig2_graph,
+                                wing_decomposition(fig2_graph))
+        assert loaded.edge_counts is None
+
     def test_rebuild_counts_rejects_wrong_graph(self, fig2_graph):
         index = build_equiwing(fig2_graph)
         loaded = deserialize(serialize(index))
