@@ -137,6 +137,16 @@ def random_bipartite_edges(rng, nu, nv, p):
     return edges
 
 
+def small_graph_family(count):
+    """Seeded graphs of at most 12+12 vertices and at most 60 edges."""
+    for seed in range(count):
+        rng = random.Random(20_000 + seed)
+        nu = rng.randint(4, 12)
+        nv = rng.randint(4, 12)
+        p = rng.uniform(0.12, 0.55)
+        yield seed, random_bipartite_edges(rng, nu, nv, p)[:60]
+
+
 def blocks_sharing_a_vertex(seed):
     """Two complete s x s blocks that share one vertex (V side on even
     seeds, U side on odd), over a sparse 12 x 12 random graph. A pair of U

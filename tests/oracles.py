@@ -201,3 +201,78 @@ def compressed_groups_oracle(levels, super_edges):
                         stack.append(nb)
             groups.add(frozenset(here))
     return groups
+
+
+def component_wings_dfs(index, seed_ids, k):
+    """The k-wing walk of `equiwing._component_wings` as a depth-first
+    search with a per-node level test, and its emissions as first written:
+    "mask" marks a bytearray of m bytes from the smaller side and reads it
+    with `itertools.compress`, "gather" sorts the wing's positions, "merge"
+    sorts the nodes' concatenated members. Reads only the index's nodes,
+    super edges and kept edge order, and derives the adjacency and the
+    position runs itself; fast enough for the 52k-edge reference graph.
+    Returns (wings, visited, emissions): the wings as sorted edge lists
+    ordered by first edge, the (id, level) of each node expanded, and each
+    wing's emission."""
+    from collections import deque
+    from itertools import chain, compress, repeat
+
+    adj = defaultdict(set)
+    for a, b in index.super_edge_set:
+        adj[a].add(b)
+        adj[b].add(a)
+    nodes = index.nodes
+    order = index._order
+    if order is not None:
+        edges, runs = order.edges, defaultdict(list)
+        for i, c in enumerate(order.classes):
+            runs[c].append(i)
+    visited = set()
+    expanded, emissions, wings = [], [], []
+    for sid in sorted(seed_ids):
+        if sid in visited:
+            continue
+        stack = [sid]
+        visited.add(sid)
+        wing = []
+        r = 0
+        while stack:
+            cur = stack.pop()
+            node = nodes[cur]
+            expanded.append((cur, node.level))
+            wing.append(cur)
+            r += len(node.members)
+            for nb in adj[cur]:
+                if nb not in visited and nodes[nb].level >= k:
+                    visited.add(nb)
+                    stack.append(nb)
+        if order is None:
+            members = []
+            for cur in wing:
+                members.extend(sorted(nodes[cur].members))
+            members.sort()
+            emission = "merge"
+        else:
+            m = len(edges)
+            if 4 * m <= r * len(wing).bit_length():
+                if 2 * r <= m:
+                    mask, mark = bytearray(m), 1
+                    marked = map(runs.__getitem__, wing)
+                else:
+                    mask, mark = bytearray(b"\1") * m, 0
+                    marked = map(runs.get, runs.keys() - wing)
+                deque(map(mask.__setitem__, chain.from_iterable(marked),
+                          repeat(mark)), 0)
+                members = list(compress(edges, mask))
+                emission = "mask"
+            else:
+                positions = []
+                for cur in wing:
+                    positions += runs[cur]
+                positions.sort()
+                members = [edges[i] for i in positions]
+                emission = "gather"
+        emissions.append(emission)
+        wings.append(members)
+    wings.sort(key=lambda w: w[0])
+    return wings, expanded, emissions

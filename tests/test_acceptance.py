@@ -36,6 +36,7 @@ from conftest import (
     build,
     levelled_members,
     random_bipartite_edges,
+    small_graph_family,
 )
 
 
@@ -52,16 +53,6 @@ def announce(n, t0, budget, msg):
     dt = time.perf_counter() - t0
     print(f"\n[criterion {n}] PASS ({dt:.2f}s, budget {budget:.0f}s): {msg}")
     assert dt < budget
-
-
-def small_graph_family(count):
-    """Seeded graphs of at most 12+12 vertices and at most 60 edges."""
-    for seed in range(count):
-        rng = random.Random(20_000 + seed)
-        nu = rng.randint(4, 12)
-        nv = rng.randint(4, 12)
-        p = rng.uniform(0.12, 0.55)
-        yield seed, random_bipartite_edges(rng, nu, nv, p)[:60]
 
 
 def test_criterion_01_running_example_wing_numbers(fig2_graph):
@@ -146,6 +137,7 @@ def test_criterion_05_oracle_equivalence_sweep():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_dynamic_soundness_sweep():
     t0 = time.perf_counter()
     sequences, mutations = 100, 200
@@ -275,6 +267,7 @@ def test_criterion_08_linear_access_property():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_directional_performance():
     t0 = time.perf_counter()
     edges = generate_bipartite(

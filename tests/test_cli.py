@@ -185,6 +185,10 @@ class TestQuery:
         )
         assert code == 3
 
+    def test_index_required(self, capsys):
+        code, out, err = run(capsys, "query", "-q", "v5", "-k", "2")
+        assert code == 3 and "--index is required" in err and out == ""
+
     def test_k_below_one(self, capsys, ew_path):
         code, _, err = run(
             capsys, "query", "--index", str(ew_path), "-q", "v5", "-k", "0"
@@ -582,6 +586,18 @@ class TestGen:
         )
         assert code == 3 and "ROWS:COLS:PROB" in err
 
+    @pytest.mark.parametrize("block", ["5:5", "a:b:c"])
+    def test_block_that_does_not_parse(self, capsys, tmp_path, block):
+        """Two fields, and three that are not numbers: both exit 3 through
+        `cmd_gen`'s parse branch, before anything is written."""
+        out = tmp_path / "x.tsv"
+        code, _, err = run(
+            capsys, "gen", "--nu", "5", "--nv", "5", "--p", "0.5",
+            "--block", block, "--out", str(out),
+        )
+        assert code == 3 and "ROWS:COLS:PROB" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("block", ["5:5:0.9", "3:4:0.9", "-1:2:0.9"])
     def test_block_larger_than_its_side(self, capsys, tmp_path, block):
         out = tmp_path / "x.tsv"
@@ -746,6 +762,17 @@ class TestExitCodes:
             capsys, "query", "--index", str(stub), "-q", "v5", "-k", "3"
         )
         assert code == 2
+
+    def test_out_is_a_directory(self, capsys, tmp_path, fig2_path):
+        """The write fails at the final rename: exit 2, and the temporary
+        file it wrote first is gone."""
+        out = tmp_path / "taken"
+        out.mkdir()
+        code, _, err = run(capsys, "build", "--graph", str(fig2_path),
+                           "--out", str(out))
+        assert code == 2 and str(out) in err
+        assert out.is_dir() and not any(out.iterdir())
+        assert not list(tmp_path.glob(".tmp-*~"))
 
     def test_missing_index(self, capsys, tmp_path):
         code, _, _ = run(

@@ -23,17 +23,19 @@ from wingsearch import (
     wing_decomposition,
 )
 from wingsearch.decomposition import WingDecomposition
-from wingsearch.equiwing import EdgeOrder
+from wingsearch.equiwing import EdgeOrder, _component_wings
 from wingsearch.errors import IndexFormatError, InternalConsistencyError
 
 from conftest import (
     FIG2_CLASS_LEVELS,
     FIG2_CLASSES,
+    FIG2_EDGES,
     FIG2_SUPER_EDGES,
     blocks_sharing_a_vertex,
     bloom_triples,
     build,
     random_bipartite_edges,
+    small_graph_family,
 )
 
 
@@ -622,6 +624,105 @@ class TestEdgeOrder:
             assert index.validate()
         index._order = EdgeOrder(edges, classes)
         assert index.validate(d.wing_number) == []
+
+
+def walks_agree(index, q, k):
+    """The frontier walk from q's seeds at k gives the wings, emissions and
+    visited node set of the depth-first reference walk, each node visited
+    once, at level >= k."""
+    seeds = [s for s in index.vertex_seeds.get(q, ())
+             if index.nodes[s].level >= k]
+    counters = QueryCounters()
+    wings = _component_wings(index, seeds, k, counters)
+    want, expanded, emissions = oracles.component_wings_dfs(index, seeds, k)
+    assert wings == want, (q, k)
+    assert counters.emissions == emissions, (q, k)
+    visited = counters.visited_nodes
+    assert len(visited) == len(set(visited)) and set(visited) == set(expanded)
+    assert all(level >= k for _sid, level in visited)
+    assert counters.emitted_edges == sum(map(len, wings))
+
+
+def walk_everywhere(g, index, k_max):
+    """`walks_agree` for every vertex and every k from 1 to k_max + 1."""
+    for q in sorted(g.adj_u) + sorted(g.adj_v):
+        for k in range(1, k_max + 2):
+            walks_agree(index, q, k)
+
+
+class TestFrontierWalk:
+    """The frontier-set walk and the slice-copied dense emission against
+    the depth-first walk and byte-mask emission they replaced
+    (`oracles.component_wings_dfs`): on both engines, with a kept edge
+    order, loaded without one, and after an update."""
+
+    @staticmethod
+    def engines(g, d):
+        index = build_equiwing(g, d)
+        comp = compress(index)
+        return index, comp, deserialize(serialize(index)), \
+            deserialize_comp(serialize(comp))
+
+    @pytest.mark.parametrize("edges", [
+        pytest.param(FIG2_EDGES, id="fig2"),
+        *(pytest.param(edges, id=f"small-{seed}")
+          for seed, edges in small_graph_family(200)),
+    ])
+    def test_every_vertex_and_every_k(self, edges):
+        g = build(edges)
+        d = wing_decomposition(g)
+        index, comp, *loaded = self.engines(g, d)
+        assert index._order is not None and comp._order is not None
+        assert all(ix._order is None for ix in loaded)
+        for ix in (index, comp, *loaded):
+            walk_everywhere(g, ix, d.k_max)
+        if not d.k_max:
+            return
+        top = max(d.wing_number, key=d.wing_number.get)
+        _report, comp = apply_update_comp(g, d, index, comp, "delete", *top)
+        for ix in (index, comp):
+            assert ix._order is None
+            walk_everywhere(g, ix, d.k_max)
+
+    def test_both_mask_halves(self):
+        """The 1-wing of a 250x250 graph leaves 5.8% of its edges out, and
+        padded with a matching to twice its size it is half of them: the
+        byte marks cleared from the other side and set from the wing's own
+        each answer as the reference. (The reference graph's k=2 wing below
+        takes the slice copy.)"""
+        edges = generate_bipartite(250, 250, 0.04, 7)
+        g, d, index = built_index(edges)
+        q = max(d.wing_number, key=d.wing_number.get)[0]
+        (wing,) = query_equiwing(index, q, 1)
+        pad = 2 * len(wing) - len(edges)
+        matching = [(f"a-m{i:04}", f"b-m{i:04}") for i in range(pad)]
+        for padded in (False, True):
+            g, d, index = built_index(edges + matching * padded)
+            assert (2 * len(wing) <= len(index._order.edges)) is padded
+            for k in (1, 2):
+                walks_agree(index, q, k)
+
+    def test_reference_graph_samples(self):
+        """k=2 (the giant wing, slice-copied) and k=25 (the dense blocks,
+        gathered) from sampled vertices of the 52,587-edge reference graph,
+        and k=25 on its loaded twins."""
+        edges = generate_bipartite(
+            2000, 2000, 0.0125, seed=91,
+            blocks=((30, 30, 0.9), (30, 30, 0.9), (30, 30, 0.9)))
+        g = build(edges)
+        d = wing_decomposition(g)
+        index, comp, *loaded = self.engines(g, d)
+        rng = random.Random(3)
+        dense = sorted({x for e, w in d.wing_number.items() if w >= 25
+                        for x in e})
+        k2 = rng.sample(sorted(g.adj_u), 4) + rng.sample(dense, 2)
+        k25 = rng.sample(dense, 12)
+        for ix in (index, comp):
+            for q in k2:
+                walks_agree(ix, q, 2)
+        for ix in (index, comp, *loaded):
+            for q in k25:
+                walks_agree(ix, q, 25)
 
 
 class TestValidate:

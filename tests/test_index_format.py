@@ -7,8 +7,11 @@ checksum recomputed, so the structure check is what has to catch it) the
 line duplicated, dropped, stripped of its values, or swapped with the next;
 then every byte flipped without resealing. A negative count in the header
 and a super edge listed twice, with the counts made to agree, are rejected
-too. Member lines out of order inside a node are not a malformation: the
-reader re-sorts them.
+too, and so is each resealed file that trips one of the reader's later
+guards: a `kmax` that is not the top node level, a value that is not an
+integer, a member block cut short by the end of the file, and a structure
+that `validate` refuses. Member lines out of order inside a node are not a
+malformation: the reader re-sorts them.
 """
 
 import hashlib
@@ -27,7 +30,8 @@ from wingsearch import (
     serialize,
 )
 from wingsearch.cli import main
-from wingsearch.errors import IndexFormatError
+from wingsearch.equiwing import id_map
+from wingsearch.errors import IndexFormatError, InternalConsistencyError
 
 
 def seal(body_lines):
@@ -224,3 +228,70 @@ def test_byte_flips_are_rejected(layout, tmp_path):
         assert cli("stats", "--index", str(path)) == 2, (i, mask)
         assert cli("query", "--index", str(path), "-q", "v5",
                    "-k", "2") == 2, (i, mask)
+
+
+def test_kmax_disagreeing_with_the_levels_is_rejected(layout):
+    text, read = layout
+    bad = seal(["kmax 5" if line.startswith("kmax ") else line
+                for line in body_of(text)])
+    with pytest.raises(IndexFormatError, match="kmax disagrees with node"):
+        read(bad)
+
+
+def test_value_that_is_not_an_integer_is_rejected(layout):
+    text, read = layout
+    bad = seal(["kmax four" if line.startswith("kmax ") else line
+                for line in body_of(text)])
+    with pytest.raises(IndexFormatError, match="bad integer"):
+        read(bad)
+
+
+def test_member_block_cut_short_is_rejected(layout):
+    """The file ends, resealed, halfway through its last node's members."""
+    text, read = layout
+    body = body_of(text)
+    start = max(i for i, line in enumerate(body) if line.startswith("node "))
+    n_members = int(body[start].split()[3])
+    assert n_members >= 2
+    with pytest.raises(IndexFormatError, match="truncated file"):
+        read(seal(body[:start + 1 + n_members // 2]))
+
+
+def test_structure_that_validate_refuses_is_rejected(layout, tmp_path):
+    """Two nodes of one level joined by a super edge, with the `edges`
+    count raised to match: every line parses, and `validate` refuses."""
+    text, read = layout
+    body = body_of(text)
+    by_level = {}
+    for line in body:
+        if line.startswith("node "):
+            _node, sn_id, level, _n = line.split()
+            by_level.setdefault(level, []).append(sn_id)
+    a, b = next(ids for ids in by_level.values() if len(ids) >= 2)[:2]
+    n = next(i for i, line in enumerate(body) if line.startswith("edges "))
+    i = next(i for i, line in enumerate(body) if line.startswith("sedge "))
+    lines = list(body)
+    lines[n] = f"edges {int(body[n].split()[1]) + 1}"
+    lines.insert(i, f"sedge {a} {b}")
+    bad = seal(lines)
+    with pytest.raises(IndexFormatError, match="same-level super nodes"):
+        read(bad)
+    path = tmp_path / "adjacent.idx"
+    path.write_text(bad)
+    assert cli("stats", "--index", str(path)) == 2
+
+
+def test_merge_log_of_the_wrong_length_does_not_match(fig2_graph):
+    """A comp file with one merge line dropped, and its `merges` count
+    lowered to match, loads, and `id_map` refuses it against the graph's
+    compressed index: nodes and super edges agree, the merge log does not."""
+    want = compress(build_equiwing(fig2_graph))
+    assert want.merge_log
+    body = body_of(serialize(want))
+    drop = next(i for i, line in enumerate(body) if line.startswith("M "))
+    lines = [f"merges {len(want.merge_log) - 1}" if line.startswith("merges ")
+             else line for line in body[:drop] + body[drop + 1:]]
+    loaded = deserialize_comp(seal(lines))
+    with pytest.raises(InternalConsistencyError,
+                       match="merge log has the wrong length"):
+        id_map(loaded, want)
