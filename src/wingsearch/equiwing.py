@@ -24,12 +24,12 @@ and `add_bloom` returns before it keys the bloom's neighbours.
 A query walks the super graph by frontier sets. A fresh build keeps an
 edge order (`EdgeOrder`): every edge of the graph in sorted order and its
 node id. A query on such an index emits each wing from integer positions
-in that order: it copies the slices between the few edges a near-total
-wing leaves out, marks the positions in a byte mask that one C-level
-`itertools.compress` reads, or sorts them as ints and gathers the edges;
-an index without an order merges its nodes' sorted member runs. See
-`_component_wings`. `serialize` writes each node's member lines from the
-same positions.
+in that order: it copies the slices between the edges a wing of more than
+half the graph leaves out, marks the positions of a smaller wing in a
+byte mask that one C-level `itertools.compress` reads, or sorts them as
+ints and gathers the edges; an index without an order merges its nodes'
+sorted member runs. See `_component_wings`. `serialize` writes each
+node's member lines from the same positions.
 
 The index is label-based and self-sufficient: queries need only the index.
 Compression (see compress.py) yields the same structure plus a merge log;
@@ -228,11 +228,12 @@ class EquiWingIndex:
 
     def validate(self, wing_number=None):
         """Cheap structural invariant sweep; returns a list of problems.
-        A kept edge order must list its edges strictly increasing, each
-        classed edge under its node id and every other one under 0. Given
-        the graph's wing numbers, each member's must be its node's
-        level, and as many edges be classed as have one >= 1: then the
-        classed edges are exactly those, and the index describes the graph."""
+        The level map must hold each node's level. A kept edge order must
+        list its edges strictly increasing, each classed edge under its node
+        id and every other one under 0. Given the graph's wing numbers,
+        each member's must be its node's level, and as many edges be
+        classed as have one >= 1: then the classed edges are exactly those,
+        and the index describes the graph."""
         problems = []
         # a sweep in C: when every member maps to its node and the map holds
         # as many edges as the nodes do, no edge is in two nodes or stray;
@@ -261,6 +262,8 @@ class EquiWingIndex:
                     problems.append(f"edge map wrong for {e}")
         if not swept and len(self.per_edge_node) != len(seen):
             problems.append("edge map has stray entries")
+        if self.node_level != {s: n.level for s, n in self.nodes.items()}:
+            problems.append("level map disagrees with the nodes")
         for a, b in self.super_edge_set:
             if a not in self.nodes or b not in self.nodes:
                 problems.append(f"super edge ({a},{b}) touches a missing node")
@@ -540,24 +543,22 @@ def _component_wings(index, seed_ids, k, counters):
     edges, the wing is emitted from its nodes' position runs (see
     `EdgeOrder`), with no tuple comparison:
 
-    - "mask", when 4m <= r * b.bit_length(). If the wing leaves at most
-      m/32 edges out, their positions (every other run, class 0's
-      included) are sorted and the slices of the edges between them are
-      copied and joined in C: O((m - r) log) ints sorted, r edges copied.
-      Otherwise a bytearray of m marks is set from the smaller side (the
-      wing's runs when 2r <= m, or else all marks with every other run
-      cleared) and read by one C-level `itertools.compress`, O(m).
+    - "mask", when 4m <= r * b.bit_length(), from the smaller side. When
+      2r <= m, a bytearray of m marks is set at the wing's runs and read by
+      one C-level `itertools.compress`, O(m). Otherwise the positions the
+      wing leaves out (every other run, class 0's included) are sorted and
+      the slices of the edges between them are copied and joined in C:
+      O((m - r) log) ints sorted, m - r + 1 slices, r edges copied.
     - "gather", otherwise: the wing's runs concatenated and sorted as ints,
       which Timsort merges in O(r log b), then the edges at those positions.
 
     Without an order, "merge": the nodes' presorted member runs are
     concatenated and one `list.sort()` merges them in O(r log b) tuple
-    comparisons. Each answer is a new list. Both constants are measured on
-    the 52,587-edge reference graph. Mask overtakes gather from r *
+    comparisons. Each answer is a new list. The 4 is measured on the
+    52,587-edge reference graph: mask overtakes gather from r *
     b.bit_length() of about 3-5m up, and the graph's wings fall either
-    below 0.9m or above 4.5m. A slice costs about ten times a mark, so the
-    slice copy beats the marks only while the slices are few, up to about
-    2.5-3% of m left out; the k=2 giant wing leaves out 544 edges, 1.0%."""
+    below 0.9m or above 4.5m. Its k=2 giant wing leaves out 544 edges,
+    1.0% of m, and is slice-copied."""
     adj = index.adjacency()
     level_of = index.node_level
     nodes = index.nodes
@@ -589,23 +590,18 @@ def _component_wings(index, seed_ids, k, counters):
             m = len(edges)
             r = sum(map(len, map(runs.__getitem__, wing)))
             if 4 * m <= r * len(wing).bit_length():
-                if 32 * (m - r) <= m:
+                if 2 * r <= m:
+                    mask = bytearray(m)
+                    deque(map(mask.__setitem__, chain.from_iterable(
+                        map(runs.__getitem__, wing)), repeat(1)), 0)
+                    members = list(compress(edges, mask))
+                else:
                     cut = reduce(iadd, map(runs.__getitem__,
                                            runs.keys() - wing), [])
                     cut.sort()
                     members = reduce(iadd, map(edges.__getitem__, map(
                         slice, chain((0,), map((1).__add__, cut)),
                         chain(cut, (m,)))), [])
-                else:
-                    if 2 * r <= m:
-                        mask, mark = bytearray(m), 1
-                        marked = map(runs.__getitem__, wing)
-                    else:
-                        mask, mark = bytearray(b"\1") * m, 0
-                        marked = map(runs.get, runs.keys() - wing)
-                    deque(map(mask.__setitem__, chain.from_iterable(marked),
-                              repeat(mark)), 0)
-                    members = list(compress(edges, mask))
                 emission = "mask"
             else:
                 positions = runs[sid]

@@ -687,9 +687,8 @@ class TestFrontierWalk:
     def test_both_mask_halves(self):
         """The 1-wing of a 250x250 graph leaves 5.8% of its edges out, and
         padded with a matching to twice its size it is half of them: the
-        byte marks cleared from the other side and set from the wing's own
-        each answer as the reference. (The reference graph's k=2 wing below
-        takes the slice copy.)"""
+        slice copy and the byte marks set from the wing's own positions
+        each answer as the reference."""
         edges = generate_bipartite(250, 250, 0.04, 7)
         g, d, index = built_index(edges)
         q = max(d.wing_number, key=d.wing_number.get)[0]
@@ -730,7 +729,8 @@ class TestValidate:
         """`validate` checks members with one C-level sweep per node and
         walks them only when it fails. On an index corrupted each way, and
         on a sound one, it names exactly what the per-member loop names.
-        The edge order is dropped so that its own check stays silent."""
+        The edge order is dropped so that its own check stays silent, and
+        a level changed on a node is changed in the level map too."""
 
         def corrupt(index, how):
             nodes, edge_map = index.nodes, index.per_edge_node
@@ -745,7 +745,7 @@ class TestValidate:
             elif how == "empty node":
                 nodes[3].members = frozenset()
             elif how == "level 0":
-                nodes[1].level = 0
+                nodes[1].level = index.node_level[1] = 0
 
         for how in (None, "edge in two nodes", "stray map entry",
                     "map to another node", "wrong id", "empty node",
@@ -756,6 +756,25 @@ class TestValidate:
             problems = index.validate()
             assert problems == member_problems_by_loop(index), how
             assert bool(problems) == (how is not None), how
+
+    def test_level_map_follows_the_nodes(self, fig2_graph):
+        """The query walk filters by `node_level`; `validate` names any
+        drift between it and the nodes' levels, after updates too."""
+        d = wing_decomposition(fig2_graph)
+        index = build_equiwing(fig2_graph, d)
+        apply_update(fig2_graph, d, index, "insert", "v1", "u7")
+        assert index.validate(d.wing_number) == []
+        sn_id = next(iter(index.nodes))
+        for drift in ("wrong level", "missing", "stray"):
+            index = build_equiwing(fig2_graph)
+            if drift == "wrong level":
+                index.node_level[sn_id] += 1
+            elif drift == "missing":
+                del index.node_level[sn_id]
+            else:
+                index.node_level[max(index.nodes) + 1] = 1
+            assert index.validate() == [
+                "level map disagrees with the nodes"], drift
 
 
 class TestSerialization:
