@@ -572,9 +572,9 @@ def _component_wings(index, seed_ids, k, counters):
         while frontier:
             reached = set().union(*map(adj.__getitem__, frontier))
             reached -= wing
-            frontier = {*compress(reached, map(
-                k.__le__, map(level_of.__getitem__, reached)))}
-            wing |= frontier
+            frontier = [*compress(reached, map(
+                k.__le__, map(level_of.__getitem__, reached)))]
+            wing.update(frontier)
             found += frontier
         seen |= wing
         if order is None:
