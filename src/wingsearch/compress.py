@@ -18,8 +18,6 @@ same walk and written by the same serializer: `query_comp` and
 `deserialize_comp` is the reader that accepts only the compressed header.
 """
 
-from itertools import repeat
-
 from .equiwing import (
     EdgeOrder,
     EquiWingIndex,
@@ -66,9 +64,9 @@ def compress(index):
     Once every level-k node is in (see `components_top_down`), the level-k
     nodes under one root form one merged node, which keeps the smallest id.
     A node merged with nothing is shared with `index` as it is. An index
-    with a kept edge order passes on a new one: the edge list is shared,
-    each class id maps to its kept id, and the position runs are derived
-    afresh when first used.
+    with a kept edge order passes on a new one that shares its edge list;
+    the position runs are derived afresh, from the compressed edge map,
+    when first used.
     """
     nodes = index.nodes
     keep_of = {}
@@ -95,10 +93,8 @@ def compress(index):
     comp.merge_log = sorted(
         (sid, kept) for sid, kept in keep_of.items() if sid != kept
     )
-    order = index._order
-    if order is not None:
-        comp._order = EdgeOrder(
-            order.edges, list(map(keep_of.get, order.classes, repeat(0))))
+    if index._order is not None:
+        comp._order = EdgeOrder(index._order.edges)
     return comp
 
 

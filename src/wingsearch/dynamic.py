@@ -431,13 +431,15 @@ def _reclassify(index, wn, report, runs):
     return taken_in
 
 
-def _patch_counts(index, report, runs, wn, wn_old, class_old):
+def _patch_counts(index, runs, wn, wn_old, class_old):
     """Patch the justification counts bloom by bloom. Each of `runs`, the
     blooms that meet a scope edge, e' included, takes back its old bloom
     under the old wing numbers and classes and adds its new one under the
     new maps. A pair that meets no scope edge holds only edges whose level
     and class did not move, so its two terms would cancel. On the side
-    where e' is absent it has level 0 and no class, and adds nothing."""
+    where e' is absent it has level 0 and no class, and adds nothing. A
+    count that goes negative is stored as computed, so that `validate`
+    names it and the update falls back to a rebuild."""
     class_new = defaultdict(int, index.per_edge_node)
     delta = {}
     for run in runs:
@@ -445,17 +447,14 @@ def _patch_counts(index, report, runs, wn, wn_old, class_old):
         add_bloom(delta, run, wn_old, class_old, -1)
 
     counts = index.edge_counts
-    for pair in sorted(delta):
-        c = counts.get(pair, 0) + delta[pair]
-        if c < 0:
-            report.events.append(f"negative count for super edge {pair}")
-            c = 0
-        if c == 0:
-            counts.pop(pair, None)
-            index.super_edge_set.discard(pair)
-        else:
+    for pair, d in delta.items():
+        c = counts.get(pair, 0) + d
+        if c:
             counts[pair] = c
             index.super_edge_set.add(pair)
+        else:
+            counts.pop(pair, None)
+            index.super_edge_set.discard(pair)
     index._adjacency = None
 
 
@@ -519,7 +518,7 @@ def apply_update(graph, decomp, index, kind, u, v):
     report.counters.update(pairs=pairs + more, blooms=len(found),
                            cached=cached + kept,
                            reformed=len(report.affected_nodes))
-    _patch_counts(index, report, found.values(), wn, wn_old, class_old)
+    _patch_counts(index, found.values(), wn, wn_old, class_old)
     if not insert:
         graph.delete_edge(u, v)
         blooms.invalidate(graph, e, through)
@@ -548,12 +547,13 @@ def apply_update_comp(graph, decomp, index, comp, kind, u, v):
     back as it was when the update removed and formed no class, and is
     otherwise compressed afresh. Returns (report, new_comp).
 
-    An untouched `comp` keeps its edge order (see `EquiWingIndex`), and so
-    does `index`, as it still holds each edge under its class. That path
-    changes no edge's class. An inserted edge at wing number 0 is missing
-    from the order's edges, and it lies in no wing. A deleted edge at wing
-    number 0 stays in the order under class 0, so no query emits it. Any
-    node removed or formed drops the order."""
+    An untouched `comp` keeps its edge order (see `EdgeOrder`), and so
+    does `index`: that path changes no edge's class, so the runs, which
+    come from the edge map, still hold. An inserted edge at wing number 0
+    is missing from the order's edges, and it lies in no wing. A deleted
+    edge at wing number 0 stays in the order in run 0, with the edges of
+    no class, so no query emits it. Any node removed or formed drops the
+    order."""
     report = apply_update(graph, decomp, index, kind, u, v)
     t = perf_counter()
     untouched = not report.affected_nodes and not report.new_node_ids

@@ -22,14 +22,14 @@ its four edges; a bloom whose edges meet at most one class adds no count,
 and `add_bloom` returns before it keys the bloom's neighbours.
 
 A query walks the super graph by frontier sets. A fresh build keeps an
-edge order (`EdgeOrder`): every edge of the graph in sorted order and its
-node id. A query on such an index emits each wing from integer positions
-in that order: it copies the slices between the edges a wing of more than
-half the graph leaves out, marks the positions of a smaller wing in a
-byte mask that one C-level `itertools.compress` reads, or sorts them as
-ints and gathers the edges; an index without an order merges its nodes'
-sorted member runs. See `_component_wings`. `serialize` writes each
-node's member lines from the same positions.
+edge order (`EdgeOrder`): every edge of the graph in sorted order, shared
+with its compression, from which each node's run of integer positions is
+derived through the edge map. A query emits a wing of more than half the
+edges of such an order by copying the slices between the edges it leaves
+out; every other wing is one gather of its nodes' sorted runs, positions
+mapped through the order when there is one and member edges when there is
+not. See `_component_wings`. `serialize` writes each node's member lines
+from the same runs.
 
 The index is label-based and self-sufficient: queries need only the index.
 Compression (see compress.py) yields the same structure plus a merge log;
@@ -49,8 +49,7 @@ or raise; the pause assumes one thread builds or reads at a time.
 
 import hashlib
 from array import array
-from collections import deque
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, islice, repeat
 from operator import countOf, iadd, lt
 
@@ -87,25 +86,25 @@ class SuperNode:
 
 class EdgeOrder:
     """Every edge of the graph an index was built from, in sorted order
-    (`edges`), and each one's node id, 0 for none (`classes`). `runs()`
-    derives each id's positions in `edges` on first use and keeps them on
-    the order, so they go wherever the order goes: whatever replaces or
-    drops an index's order drops its runs with it."""
+    (`edges`). `runs()` derives each node id's positions in `edges` from
+    the owning index's edge map on first use and keeps them on the order,
+    so they go wherever the order goes: whatever replaces or drops an
+    index's order drops its runs with it."""
 
-    __slots__ = ("edges", "classes", "_runs")
+    __slots__ = ("edges", "_runs")
 
-    def __init__(self, edges, classes):
+    def __init__(self, edges):
         self.edges = edges
-        self.classes = classes
         self._runs = None
 
-    def runs(self):
+    def runs(self, class_of):
         """Node id (0 for none) -> the ascending positions of its edges in
-        `edges`: one pass over `classes`, kept. Lists, not `array('i')`:
-        an array boxes each position again on every read."""
+        `edges`, read off the edge map `class_of`, kept. Lists, not
+        `array('i')`: an array boxes each position again on every read."""
         if self._runs is None:
-            runs = {c: [] for c in set(self.classes)}
-            for i, c in enumerate(self.classes):
+            classes = list(map(class_of.get, self.edges, repeat(0)))
+            runs = {c: [] for c in set(classes)}
+            for i, c in enumerate(classes):
                 runs[c].append(i)
             self._runs = runs
         return self._runs
@@ -116,9 +115,9 @@ class QueryCounters:
     each super node the walk reached, once per node and only at level >=
     k, wing by wing in the order its frontier layers found them; how many
     result edges it emitted; and, per wing, which emission ran: "mask" (a
-    slice copy or byte marks over the kept edge order), "gather" (sorted
-    positions in it) or "merge" (the nodes' sorted runs). See
-    `_component_wings`."""
+    slice copy of the kept edge order), "gather" (the nodes' sorted
+    position runs in it) or "merge" (the same gather of the nodes' sorted
+    member runs, without an order). See `_component_wings`."""
 
     def __init__(self):
         self.visited_nodes = []
@@ -197,16 +196,9 @@ class EquiWingIndex:
         return self._adjacency
 
     def replace_with(self, other):
-        """Adopt another index's contents in place (rebuild fallback)."""
-        self.nodes = other.nodes
-        self.super_edge_set = other.super_edge_set
-        self.edge_counts = other.edge_counts
-        self.per_edge_node = other.per_edge_node
-        self.node_level = other.node_level
-        self.vertex_seeds = other.vertex_seeds
-        self._adjacency = None
-        self._order = other._order
-        self._next_id = other._next_id
+        """Adopt every attribute of another index in place (rebuild
+        fallback), derived ones included."""
+        vars(self).update(vars(other))
 
     @property
     def k_max(self):
@@ -229,11 +221,11 @@ class EquiWingIndex:
     def validate(self, wing_number=None):
         """Cheap structural invariant sweep; returns a list of problems.
         The level map must hold each node's level. A kept edge order must
-        list its edges strictly increasing, each classed edge under its node
-        id and every other one under 0. Given the graph's wing numbers,
-        each member's must be its node's level, and as many edges be
-        classed as have one >= 1: then the classed edges are exactly those,
-        and the index describes the graph."""
+        list its edges strictly increasing and hold every classed edge, so
+        that the runs derived from it hold each node's members. Given the
+        graph's wing numbers, each member's must be its node's level, and
+        as many edges be classed as have one >= 1: then the classed edges
+        are exactly those, and the index describes the graph."""
         problems = []
         # a sweep in C: when every member maps to its node and the map holds
         # as many edges as the nodes do, no edge is in two nodes or stray;
@@ -285,15 +277,12 @@ class EquiWingIndex:
             ):
                 problems.append("merge log names missing or live nodes")
         if self._order is not None:
-            edges, classes = self._order.edges, self._order.classes
-            if len(edges) != len(classes) or not all(
-                    map(lt, edges, islice(edges, 1, None))):
+            edges = self._order.edges
+            if not all(map(lt, edges, islice(edges, 1, None))):
                 problems.append("kept edge order is not strictly increasing")
-            classed = list(compress(edges, classes))
-            if (len(classed) != len(self.per_edge_node)
-                    or list(map(self.per_edge_node.get, classed))
-                    != list(filter(None, classes))):
-                problems.append("kept edge order disagrees with the classes")
+            if sum(map(self.per_edge_node.__contains__, edges)) != len(
+                    self.per_edge_node):
+                problems.append("kept edge order leaves out a classed edge")
         if wing_number is not None:
             level_of = wing_number.get
             for sn_id, n in self.nodes.items():
@@ -428,8 +417,7 @@ def build_equiwing(graph, decomp=None):
     of each butterfly's min-level edges and the justification counts, read
     the decomposition's bloom record by edge id; a decomposition without
     one (after an update) has the blooms enumerated here, once. The index
-    keeps the edges in id order and the class list of the count pass as
-    its edge order."""
+    keeps the edges in id order as its edge order."""
     decomp = decomp if decomp is not None else wing_decomposition(graph)
     edges, levels, record = _by_id(graph, decomp)
     index = EquiWingIndex()
@@ -441,7 +429,7 @@ def build_equiwing(graph, decomp=None):
     for run in _runs(*record):
         add_bloom(counts, run, levels, classes, 1)
     index.super_edge_set = set(counts)
-    index._order = EdgeOrder(edges, classes)
+    index._order = EdgeOrder(edges)
     return index
 
 
@@ -539,30 +527,33 @@ def _component_wings(index, seed_ids, k, counters):
     C. Its work is the visited nodes and their adjacency, and each visited
     node is counted once.
 
-    Say a wing has r edges from b nodes. With a kept edge order of m
-    edges, the wing is emitted from its nodes' position runs (see
-    `EdgeOrder`), with no tuple comparison:
-
-    - "mask", when 4m <= r * b.bit_length(), from the smaller side. When
-      2r <= m, a bytearray of m marks is set at the wing's runs and read by
-      one C-level `itertools.compress`, O(m). Otherwise the positions the
-      wing leaves out (every other run, class 0's included) are sorted and
-      the slices of the edges between them are copied and joined in C:
-      O((m - r) log) ints sorted, m - r + 1 slices, r edges copied.
-    - "gather", otherwise: the wing's runs concatenated and sorted as ints,
-      which Timsort merges in O(r log b), then the edges at those positions.
-
-    Without an order, "merge": the nodes' presorted member runs are
-    concatenated and one `list.sort()` merges them in O(r log b) tuple
-    comparisons. Each answer is a new list. The 4 is measured on the
-    52,587-edge reference graph: mask overtakes gather from r *
+    Say a wing has r edges from b nodes, and the index keeps an edge order
+    of m edges (see `EdgeOrder`). A wing of more than half of them, when
+    4m <= r * b.bit_length(), is "mask": the positions it leaves out
+    (every other run, class 0's included) are sorted and the slices of the
+    edges between them copied and joined in C, O((m - r) log) ints sorted
+    and r edges copied, with no tuple comparison. Every other wing is one
+    gather: its nodes' sorted runs, concatenated in the order the walk
+    found the nodes and, from more than one node, merged by one Timsort in
+    O(r log b). They are position runs mapped through the order's edges
+    ("gather") when the index keeps one, and the nodes' member runs
+    (`SuperNode.ordered()`, compared as tuples: "merge") when it does not.
+    Each answer is a new list. The 4 is measured on the 52,587-edge
+    reference graph: the slice copy overtakes the gather from r *
     b.bit_length() of about 3-5m up, and the graph's wings fall either
     below 0.9m or above 4.5m. Its k=2 giant wing leaves out 544 edges,
     1.0% of m, and is slice-copied."""
     adj = index.adjacency()
     level_of = index.node_level
-    nodes = index.nodes
     order = index._order
+    if order is None:  # m = r = 0: every wing is gathered
+        nodes, m = index.nodes, 0
+
+        def runs_of(ids):
+            return map(SuperNode.ordered, map(nodes.__getitem__, ids))
+    else:
+        edges, runs = order.edges, order.runs(index.per_edge_node)
+        runs_of, m = partial(map, runs.__getitem__), len(edges)
     seen = set()
     wings = []
     for sid in sorted(seed_ids):
@@ -577,38 +568,25 @@ def _component_wings(index, seed_ids, k, counters):
             wing.update(frontier)
             found += frontier
         seen |= wing
-        if order is None:
+        r = 0 if order is None else sum(map(len, runs_of(wing)))
+        if 2 * r > m and 4 * m <= r * len(wing).bit_length():
+            cut = reduce(iadd, runs_of(runs.keys() - wing), [])
+            cut.sort()
+            members = reduce(iadd, map(edges.__getitem__, map(
+                slice, chain((0,), map((1).__add__, cut)),
+                chain(cut, (m,)))), [])
+            emission = "mask"
+        else:
             # runs in the order the walk found their nodes, which keeps
             # neighbouring classes together, merge 3-11% faster than in id
             # or set order on the 1,702-edge graph after updates
-            members = reduce(iadd, map(SuperNode.ordered, map(
-                nodes.__getitem__, found)), [])
-            members.sort()
-            emission = "merge"
-        else:
-            edges, runs = order.edges, order.runs()
-            m = len(edges)
-            r = sum(map(len, map(runs.__getitem__, wing)))
-            if 4 * m <= r * len(wing).bit_length():
-                if 2 * r <= m:
-                    mask = bytearray(m)
-                    deque(map(mask.__setitem__, chain.from_iterable(
-                        map(runs.__getitem__, wing)), repeat(1)), 0)
-                    members = list(compress(edges, mask))
-                else:
-                    cut = reduce(iadd, map(runs.__getitem__,
-                                           runs.keys() - wing), [])
-                    cut.sort()
-                    members = reduce(iadd, map(edges.__getitem__, map(
-                        slice, chain((0,), map((1).__add__, cut)),
-                        chain(cut, (m,)))), [])
-                emission = "mask"
+            members = reduce(iadd, runs_of(found), [])
+            if len(found) > 1:
+                members.sort()
+            if order is None:
+                emission = "merge"
             else:
-                positions = runs[sid]
-                if len(wing) > 1:
-                    positions = reduce(iadd, map(runs.__getitem__, wing), [])
-                    positions.sort()
-                members = list(map(edges.__getitem__, positions))
+                members = list(map(edges.__getitem__, members))
                 emission = "gather"
         if counters is not None:
             counters.visited_nodes += zip(found,
@@ -622,9 +600,8 @@ def _component_wings(index, seed_ids, k, counters):
 
 def query_equiwing(index, q, k, counters=None):
     """All k-wings containing vertex q, as sorted edge lists. A vertex with
-    no classed edge yields an empty result."""
-    if k < 1:
-        k = 1
+    no classed edge yields an empty result. Every node's level is at least
+    1, so k < 1 asks for the 1-wings."""
     seed_ids = [
         sid
         for sid in index.vertex_seeds.get(q, ())
@@ -651,7 +628,8 @@ def serialize(index):
     if index._order is None:
         ordered = SuperNode.ordered
     else:
-        edges, runs = index._order.edges, index._order.runs()
+        edges = index._order.edges
+        runs = index._order.runs(index.per_edge_node)
 
         def ordered(node):
             return map(edges.__getitem__, runs[node.sn_id])

@@ -205,12 +205,14 @@ def compressed_groups_oracle(levels, super_edges):
 
 def component_wings_dfs(index, seed_ids, k):
     """The k-wing walk of `equiwing._component_wings` as a depth-first
-    search with a per-node level test, and its emissions as first written:
-    "mask" marks a bytearray of m bytes from the smaller side and reads it
-    with `itertools.compress`, "gather" sorts the wing's positions, "merge"
-    sorts the nodes' concatenated members. Reads only the index's nodes,
-    super edges and kept edge order, and derives the adjacency and the
-    position runs itself; fast enough for the 52k-edge reference graph.
+    search with a per-node level test, and its emissions by their own
+    means: "mask", for a wing of more than half of a kept order's m edges
+    with 4m <= r * b.bit_length(), sets a bytearray of m marks, clears
+    those of every other run and reads it with `itertools.compress`;
+    "gather" sorts the wing's positions; "merge" sorts the nodes'
+    concatenated members. Reads only the index's nodes, edge map, super
+    edges and kept edge order, and derives the adjacency and the position
+    runs itself; fast enough for the 52k-edge reference graph.
     Returns (wings, visited, emissions): the wings as sorted edge lists
     ordered by first edge, the (id, level) of each node expanded, and each
     wing's emission."""
@@ -225,8 +227,8 @@ def component_wings_dfs(index, seed_ids, k):
     order = index._order
     if order is not None:
         edges, runs = order.edges, defaultdict(list)
-        for i, c in enumerate(order.classes):
-            runs[c].append(i)
+        for i, e in enumerate(edges):
+            runs[index.per_edge_node.get(e, 0)].append(i)
     visited = set()
     expanded, emissions, wings = [], [], []
     for sid in sorted(seed_ids):
@@ -254,15 +256,10 @@ def component_wings_dfs(index, seed_ids, k):
             emission = "merge"
         else:
             m = len(edges)
-            if 4 * m <= r * len(wing).bit_length():
-                if 2 * r <= m:
-                    mask, mark = bytearray(m), 1
-                    marked = map(runs.__getitem__, wing)
-                else:
-                    mask, mark = bytearray(b"\1") * m, 0
-                    marked = map(runs.get, runs.keys() - wing)
-                deque(map(mask.__setitem__, chain.from_iterable(marked),
-                          repeat(mark)), 0)
+            if 2 * r > m and 4 * m <= r * len(wing).bit_length():
+                mask = bytearray(b"\1") * m
+                deque(map(mask.__setitem__, chain.from_iterable(
+                    map(runs.get, runs.keys() - wing)), repeat(0)), 0)
                 members = list(compress(edges, mask))
                 emission = "mask"
             else:

@@ -18,6 +18,7 @@ from wingsearch import (
     serialize,
     wing_decomposition,
 )
+from wingsearch.bench import degree_buckets
 from wingsearch.cli import main
 
 from conftest import FIG2_PSI
@@ -696,6 +697,14 @@ class TestBench:
         for row in lines[1:]:
             cells = row.split("\t")
             assert len(cells) == 5 and int(cells[1]) >= 1
+
+    def test_more_buckets_than_vertices(self, fig2_graph):
+        """Asked for more buckets than there are vertices, the degree order
+        is cut into one bucket per vertex, none empty."""
+        labels = [*fig2_graph.adj_u, *fig2_graph.adj_v]
+        buckets = degree_buckets(fig2_graph, len(labels) + 5)
+        assert [len(b) for b in buckets] == [1] * len(labels)
+        assert sorted(b[0] for b in buckets) == sorted(labels)
 
     @pytest.mark.parametrize("flag", ["--buckets", "--per-bucket"])
     @pytest.mark.parametrize("value", ["0", "-2"])

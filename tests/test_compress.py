@@ -76,6 +76,11 @@ class TestCompressionProperties:
         assert comp.compression_ratio() == pytest.approx(1.0)
         assert comp.merge_log == []
 
+    def test_empty_index_keeps_ratio_one(self):
+        assert EquiWingIndex().compression_ratio() == 1.0
+        comp = compress(build_equiwing(build([])))
+        assert not comp.nodes and comp.compression_ratio() == 1.0
+
     def test_members_partition_is_preserved(self, rng):
         for _ in range(12):
             edges = random_bipartite_edges(rng, 9, 9, rng.uniform(0.25, 0.5))

@@ -25,6 +25,7 @@ from wingsearch import (
     wing_decomposition,
     wing_upper_bound,
 )
+from wingsearch import dynamic
 from wingsearch.dynamic import _h_index
 from wingsearch.errors import (
     InternalConsistencyError,
@@ -961,6 +962,62 @@ class TestFallbackValve:
         assert f"event {reason}" in report.lines()
         assert index.validate() == []
         assert_matches_scratch(g, d, index)
+
+    def test_negative_count_falls_back(self, fig2_graph):
+        """Deleting (v6, u4) re-forms class 3 and takes back the two
+        butterflies that justify super edge (3, 4). Stored as 1, that count
+        goes to -1, and it is kept as computed: the check after surgery
+        names it and the update falls back to a rebuild."""
+        g, d, index = fig2_state(fig2_graph)
+        assert index.edge_counts[(3, 4)] == 2
+        index.edge_counts[(3, 4)] = 1
+        report = apply_update(g, d, index, "delete", "v6", "u4")
+        assert report.fell_back is True
+        assert report.events == ["super edge (3,4) touches a missing node",
+                                 "non-positive super edge count"]
+        assert report.fallback_reason == report.events[0]
+        assert "event non-positive super edge count" in report.lines()
+        fresh = build_equiwing(g)
+        assert serialize(index) == serialize(fresh)
+        assert index.edge_counts == fresh.edge_counts
+        assert_matches_scratch(g, d, index)
+
+    def test_fallback_adopts_every_attribute(self, fig2_graph, monkeypatch):
+        """After a fallback the index holds every attribute of the rebuild,
+        derived ones included: here the rebuild's adjacency, derived before
+        it is adopted."""
+        rebuilds = []
+
+        def rebuild(graph, decomp):
+            rebuilt = build_equiwing(graph, decomp)
+            rebuilt.adjacency()
+            rebuilds.append(rebuilt)
+            return rebuilt
+
+        monkeypatch.setattr(dynamic, "build_equiwing", rebuild)
+        g, d, index = fig2_state(fig2_graph)
+        index.edge_counts[(3, 4)] = 1
+        report = apply_update(g, d, index, "delete", "v6", "u4")
+        assert report.fell_back is True
+        (rebuilt,) = rebuilds
+        assert vars(index).keys() == vars(rebuilt).keys()
+        for name, value in vars(rebuilt).items():
+            assert getattr(index, name) is value, name
+
+    def test_rebuild_that_fails_validation_raises(self, fig2_graph,
+                                                  monkeypatch):
+        def rebuild(graph, decomp):
+            rebuilt = build_equiwing(graph, decomp)
+            rebuilt.edge_counts[min(rebuilt.edge_counts)] = 0
+            return rebuilt
+
+        monkeypatch.setattr(dynamic, "build_equiwing", rebuild)
+        g, d, index = fig2_state(fig2_graph)
+        index.edge_counts[(3, 4)] = 1
+        with pytest.raises(InternalConsistencyError,
+                           match="index rebuild failed validation: "
+                                 "non-positive super edge count"):
+            apply_update(g, d, index, "delete", "v6", "u4")
 
     def test_loaded_index_of_another_graph_changes_nothing(self, fig2_graph):
         """A loaded index whose top node sits one level too high is refused

@@ -134,6 +134,15 @@ class TestFig2Structure:
             (5, 6): 3,
         }
 
+    def test_duplicate_node_id_refused(self, fig2_graph):
+        index = build_equiwing(fig2_graph)
+        text = serialize(index)
+        with pytest.raises(InternalConsistencyError,
+                           match="duplicate super node id 3"):
+            index.add_node(SuperNode(3, 1, [("v-new", "u-new")]))
+        assert serialize(index) == text and index.validate() == []
+        assert ("v-new", "u-new") not in index.per_edge_node
+
     def test_ids_are_level_ascending_then_smallest_member(self, rng):
         for _ in range(10):
             edges = random_bipartite_edges(rng, 9, 9, 0.35)
@@ -383,6 +392,23 @@ class TestQueries:
         index = build_equiwing(fig2_graph)
         assert query_equiwing(index, "zz", 1) == []
 
+    def test_k_below_one_asks_for_1_wings(self, fig2_graph):
+        """Every node's level is at least 1, so k <= 0 walks the nodes k = 1
+        walks, on every engine, and answers as `baseline_search`."""
+        d = wing_decomposition(fig2_graph)
+        index = build_equiwing(fig2_graph, d)
+        comp = compress(index)
+        for ix in (index, comp, deserialize(serialize(index))):
+            for q in sorted(fig2_graph.adj_u) + sorted(fig2_graph.adj_v):
+                want = baseline_search(fig2_graph, d, q, 1)
+                counters = QueryCounters()
+                assert query_equiwing(ix, q, 1, counters) == want, q
+                for k in (0, -3):
+                    low = QueryCounters()
+                    assert query_equiwing(ix, q, k, low) == want, (q, k)
+                    assert baseline_search(fig2_graph, d, q, k) == want
+                    assert low.visited_nodes == counters.visited_nodes
+
     def test_matches_baseline_everywhere(self, rng):
         for _ in range(15):
             edges = random_bipartite_edges(rng, 9, 9, rng.uniform(0.2, 0.5))
@@ -423,8 +449,10 @@ PLANTED = [(18, 18, 0.12, seed, [(6, 6, 0.9), (5, 5, 0.85)][:1 + seed % 2])
 
 class TestEdgeOrder:
     """A fresh build and its compression keep the build's edge order and
-    emit a large wing by filtering it; every other index merges its nodes'
-    sorted runs. Both emissions must give the same answers."""
+    emit a wing of more than half of it by slice copies, and a smaller one
+    by gathering its nodes' position runs; every other index merges its
+    nodes' sorted member runs. Every emission must give the same
+    answers."""
 
     @pytest.mark.parametrize("spec", PLANTED)
     def test_fresh_build_answers_as_its_loaded_twin(self, spec):
@@ -518,45 +546,26 @@ class TestEdgeOrder:
         """At k=2 the vertex q lies in the giant wing, which holds more
         than half of the edges and has level-0 edges between its own in
         sorted order, and in a K_{3,3} that shares no butterfly with it:
-        the giant is masked from the other side, class 0 cleared, and the
-        K_{3,3} gathered."""
+        the giant is slice-copied from between the other runs, class 0's
+        included, and the K_{3,3} gathered."""
         edges = generate_bipartite(40, 40, 0.15, 7, [(8, 8, 0.95)])
         wn = wing_decomposition(build(edges)).wing_number
         q = max(wn, key=wn.get)[0]
         edges += [(u, v) for u in (q, "a-k1", "a-k2")
                   for v in ("b-k1", "b-k2", "b-k3")]
         g, d, index = built_index(edges)
-        edges, classes = index._order.edges, index._order.classes
+        edges = index._order.edges
         counters = QueryCounters()
         wings = query_equiwing(index, q, 2, counters)
         giant = max(wings, key=len)
         first, last = edges.index(giant[0]), edges.index(giant[-1])
         assert 2 * len(giant) > len(edges)
-        assert 0 in classes[first:last]
+        assert not all(map(index.per_edge_node.__contains__,
+                           edges[first:last]))
         assert sorted(counters.emissions) == ["gather", "mask"]
         assert wings == baseline_search(g, d, q, 2)
         for ix in (compress(index), deserialize(serialize(index))):
             assert query_equiwing(ix, q, 2) == wings
-
-    def test_mask_from_either_side(self):
-        """A wing of more than half of the edges is masked from the other
-        runs, and one of at most half from its own. The 1-wing of the
-        250x250 graph has 182 nodes, so a matching, whose edges lie in no
-        butterfly, can pad the graph to twice the wing's size and keep the
-        mask: 4m <= r * (182).bit_length() holds at m = 2r."""
-        edges = generate_bipartite(250, 250, 0.04, 7)
-        g, d, index = built_index(edges)
-        q = max(d.wing_number, key=d.wing_number.get)[0]
-        (wing,) = query_equiwing(index, q, 1)
-        pad = 2 * len(wing) - len(edges)
-        matching = [(f"a-m{i:04}", f"b-m{i:04}") for i in range(pad)]
-        for padded in (False, True):
-            g, d, index = built_index(edges + matching * padded)
-            counters = QueryCounters()
-            assert query_equiwing(index, q, 1, counters) == [wing]
-            assert counters.emissions == ["mask"]
-            assert (2 * len(wing) <= len(index._order.edges)) is padded
-            assert [wing] == baseline_search(g, d, q, 1)
 
     def test_runs_follow_their_order(self):
         """The position runs live with the order they came from: a query
@@ -602,27 +611,28 @@ class TestEdgeOrder:
         check(comp, g2, d2)
 
     def test_validate_checks_a_kept_order(self):
+        """The runs come from the edge map, so a kept order can only be out
+        of order or miss a classed edge; leaving out an unclassed one is
+        harmless, as after a delete of a wing-number-0 edge."""
         g, d, index = built_index(generate_bipartite(*PLANTED[0]))
-        edges, classes = index._order.edges, index._order.classes
+        edges = index._order.edges
         assert index.validate(d.wing_number) == []
-        classed = next(i for i, c in enumerate(classes) if c)
-        unclassed = next(i for i, c in enumerate(classes) if not c)
-        other = next(s for s in index.nodes if s != classes[classed])
+        classed = edges.index(min(index.per_edge_node))
+        unclassed = next(i for i, e in enumerate(edges)
+                         if e not in index.per_edge_node)
         swapped = edges[:]
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        bad = [
-            (swapped, classes),
-            (edges + edges[-1:], classes + classes[-1:]),
-            (edges, classes[:-1]),
-        ]
-        for i, c in ((classed, 0), (classed, other), (unclassed, other)):
-            wrong = classes[:]
-            wrong[i] = c
-            bad.append((edges, wrong))
-        for order in bad:
-            index._order = EdgeOrder(*order)
-            assert index.validate()
-        index._order = EdgeOrder(edges, classes)
+        for order, problem in (
+                (swapped, "kept edge order is not strictly increasing"),
+                (edges[:unclassed + 1] + edges[unclassed:],
+                 "kept edge order is not strictly increasing"),
+                (edges[:classed] + edges[classed + 1:],
+                 "kept edge order leaves out a classed edge")):
+            index._order = EdgeOrder(order)
+            assert index.validate(d.wing_number) == [problem]
+        index._order = EdgeOrder(edges[:unclassed] + edges[unclassed + 1:])
+        assert index.validate(d.wing_number) == []
+        index._order = EdgeOrder(edges)
         assert index.validate(d.wing_number) == []
 
 
@@ -651,10 +661,10 @@ def walk_everywhere(g, index, k_max):
 
 
 class TestFrontierWalk:
-    """The frontier-set walk and the slice-copied dense emission against
-    the depth-first walk and byte-mask emission they replaced
-    (`oracles.component_wings_dfs`): on both engines, with a kept edge
-    order, loaded without one, and after an update."""
+    """The frontier-set walk and its two emissions against the depth-first
+    walk and byte-mask emission of `oracles.component_wings_dfs`: on both
+    engines, with a kept edge order, loaded without one, and after an
+    update."""
 
     @staticmethod
     def engines(g, d):
@@ -684,20 +694,25 @@ class TestFrontierWalk:
             assert ix._order is None
             walk_everywhere(g, ix, d.k_max)
 
-    def test_both_mask_halves(self):
-        """The 1-wing of a 250x250 graph leaves 5.8% of its edges out, and
-        padded with a matching to twice its size it is half of them: the
-        slice copy and the byte marks set from the wing's own positions
-        each answer as the reference."""
+    def test_half_the_edges_is_the_mask_line(self):
+        """The 1-wing of a 250x250 graph leaves 5.8% of its edges out and
+        is slice-copied. Padded with a matching, whose edges lie in no
+        butterfly, to twice the wing's size, it is half of them and is
+        gathered, though 4m <= r * b.bit_length() still holds for its 182
+        nodes. Both answer as the reference walk and the baseline."""
         edges = generate_bipartite(250, 250, 0.04, 7)
         g, d, index = built_index(edges)
         q = max(d.wing_number, key=d.wing_number.get)[0]
         (wing,) = query_equiwing(index, q, 1)
         pad = 2 * len(wing) - len(edges)
         matching = [(f"a-m{i:04}", f"b-m{i:04}") for i in range(pad)]
-        for padded in (False, True):
+        for padded, emission in ((False, "mask"), (True, "gather")):
             g, d, index = built_index(edges + matching * padded)
             assert (2 * len(wing) <= len(index._order.edges)) is padded
+            counters = QueryCounters()
+            assert query_equiwing(index, q, 1, counters) == [wing]
+            assert counters.emissions == [emission]
+            assert [wing] == baseline_search(g, d, q, 1)
             for k in (1, 2):
                 walks_agree(index, q, k)
 
@@ -725,6 +740,53 @@ class TestFrontierWalk:
 
 
 class TestValidate:
+    def test_counts_follow_the_super_edges(self, fig2_graph):
+        """The justification counts must key exactly the super edges and
+        be positive."""
+        for how, problem in (
+                ("missing", "edge counts out of sync with super edges"),
+                ("stray", "edge counts out of sync with super edges"),
+                ("zero", "non-positive super edge count"),
+                ("negative", "non-positive super edge count")):
+            index = build_equiwing(fig2_graph)
+            counts = index.edge_counts
+            pair = min(counts)
+            if how == "missing":
+                del counts[pair]
+            elif how == "stray":
+                counts[(1, max(index.nodes) + 1)] = 1
+            else:
+                counts[pair] = 0 if how == "zero" else -1
+            assert index.validate() == [problem], how
+
+    def test_merge_log_names_merged_nodes(self, fig2_graph):
+        """Each merge log entry maps a node that is gone to one that is
+        kept, and no node is merged twice."""
+        comp = compress(build_equiwing(fig2_graph))
+        assert comp.merge_log and comp.validate() == []
+        (old, kept), *rest = comp.merge_log
+        gone = max(comp.nodes) + 1
+        for log in ([(kept, kept), *rest], [(old, gone), *rest],
+                    [(old, kept), (old, kept), *rest]):
+            comp.merge_log = log
+            assert comp.validate() == [
+                "merge log names missing or live nodes"], log
+
+    def test_wing_numbers_check_the_nodes(self, fig2_graph):
+        """Given the wing numbers, each member's must be its node's level,
+        and no edge at wing number >= 1 may be left out of the index."""
+        d = wing_decomposition(fig2_graph)
+        index = build_equiwing(fig2_graph, d)
+        assert index.validate(d.wing_number) == []
+        sn_id, node = next(iter(index.nodes.items()))
+        moved = dict(d.wing_number)
+        moved[min(node.members)] = node.level + 1
+        assert index.validate(moved) == [
+            f"node {sn_id} level disagrees with wing numbers"]
+        outside = {**d.wing_number, ("v-new", "u-new"): 1}
+        assert index.validate(outside) == [
+            "classed edges disagree with wing numbers"]
+
     def test_member_sweep_names_what_the_loop_names(self, fig2_graph):
         """`validate` checks members with one C-level sweep per node and
         walks them only when it fails. On an index corrupted each way, and
