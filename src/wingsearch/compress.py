@@ -8,9 +8,9 @@ each level's biggest wing for `stats`, and whether the super graph is a
 forest; an update simply compresses again. The merged node keeps the
 smallest participating id and the merge log records old -> kept mappings
 so files stay self-describing. `compress` is the one definition of a
-compressed index: `check_comp` accepts a loaded file only if it equals
-`compress` of a fresh build up to node ids, by the check
-(`equiwing.id_map`) that a plain file passes against the build itself.
+compressed index: a loaded file is accepted only if it equals `compress`
+of a fresh build up to node ids, by the check (`equiwing.id_map`) that a
+plain file passes against the build itself.
 
 The result is an EquiWingIndex with `merge_log` set, so it is answered by the
 same walk and written by the same serializer: `query_comp` and
@@ -24,7 +24,6 @@ from .equiwing import (
     SuperNode,
     deserialize_comp,
     find_root,
-    id_map,
     query_equiwing as query_comp,
     serialize as serialize_comp,
 )
@@ -109,10 +108,3 @@ def is_forest(index):
     components = sum(1 for sid, root in parent.items() if sid == root)
     return len(index.super_edge_set) == len(parent) - components
 
-
-def check_comp(comp, index):
-    """Raise unless the loaded compressed index `comp` is `compress(index)`
-    up to node ids (see `id_map`), where `index` is a fresh build of the
-    graph. A file that updates wrote, whose ids are not a fresh build's,
-    passes as well."""
-    id_map(comp, compress(index))

@@ -22,130 +22,74 @@ The same pass copies the runs into an immutable record for the index build
 (`bloom_runs`), before the peel consumes them. So a from-scratch rebuild
 enumerates the blooms once, and no wedge is ever looked up by its labels.
 
-That record is by position, which an update would shift. Update surgery
-reads the blooms it needs by edge instead, from a `BloomMap` that the
-decomposition keeps: filled as surgery reads, and invalidated by each
-update exactly where the edge it adds or removes changes a bloom.
+That record is by position, which an update would shift. So the first
+update reads the whole record once into a `BloomMap` of the decomposition,
+pair -> run of edge tuples, and then drops it. The map holds every bloom,
+and each update re-reads only the runs of the pairs whose common
+neighbours the edge it adds or removes changes.
 
-The peel runs with the cyclic garbage collector paused (see collector.py):
-the bloom lists and `blooms_of` form no reference cycle, yet each young
-collection would rescan them. The collector's state comes back when the
-peel returns or raises; the pause assumes one thread builds at a time.
+The peel and the fill of the bloom map run with the cyclic garbage
+collector paused (see collector.py): the bloom lists, `blooms_of` and the
+map's runs form no reference cycle, yet each young collection would rescan
+them. The collector's state comes back when they return or raise; the
+pause assumes one thread builds at a time.
 """
 
 from array import array
+from itertools import chain
 
 from .collector import paused_collector
 
 
-class BloomMap:
-    """The blooms of the graph that update surgery has read, kept across
-    updates (after the BE-Index of Wang, Lin, Qin, Zhang and Zhang, ICDE
-    2020). A bloom is a left-vertex pair u1 < u2 with two or more common
-    neighbours x; its flat run of wedge tuples (u1, x0), (u2, x0), (u1,
-    x1), (u2, x1), ... is what `form_classes` and `add_bloom` take.
+class BloomMap(dict):
+    """Every bloom of the graph, kept across updates: the BE-Index of Wang,
+    Lin, Qin, Zhang and Zhang (ICDE 2020) as that paper keeps it. A bloom
+    is a left-vertex pair u1 < u2 with two or more common neighbours x; the
+    map holds each such pair, and no other, with its flat run of wedge
+    tuples (u1, x0), (u2, x0), (u1, x1), (u2, x1), ..., which is what
+    `form_classes` and `add_bloom` take.
 
-    `partners` maps an edge (u1, x) to the u2 of each pair {u1, u2} whose
-    bloom holds it, and `runs` maps each such pair to its run. An edge's
-    entry is made the first time `read` reaches it, and with it the run of
-    each of its pairs; a pair with fewer than two common neighbours gets
-    no entry. The run tuples are the decomposition's own edge keys, so a
-    run costs a pointer per wedge.
+    `WingDecomposition.fill_bloom_map` fills it once, from the peel's
+    record. It holds while the graph changes only through `apply_update`,
+    which calls `invalidate` once the update's edge is in or out."""
 
-    The map holds while the graph changes only through `apply_update`,
-    which calls `invalidate` once the update's edge is in or out.
-    Invariant: every kept entry is the one a fresh read of the current
-    graph gives, and every pair in a kept `partners` entry has its run."""
-
-    def __init__(self):
-        self.partners = {}
-        self.runs = {}
-        self._key = None  # edge -> the decomposition's tuple for it
-
-    def read(self, graph, wing_number, edges, found, misses):
+    def read(self, adj_v, edges, found):
         """Add to `found`, pair -> run, the bloom of each pair that holds
-        one of `edges`, all edges of `graph`. An edge not yet in the map is
-        read from the adjacency sets, its runs built from the keys of
-        `wing_number`. `misses` holds the pairs this caller has found to
-        share fewer than two neighbours, so none is intersected twice.
-        Returns (pairs intersected, edges found in the map)."""
-        partners, runs = self.partners, self.runs
-        if self._key is None:
-            self._key = {f: f for f in wing_number}
-        key = self._key
-        adj_u, adj_v = graph.adj_u, graph.adj_v
-        intersected = kept = 0
-        for f in edges:
-            u1 = f[0]
-            held = partners.get(f)
-            if held is not None:
-                kept += 1
-                for u2 in held:
-                    p = (u1, u2) if u1 < u2 else (u2, u1)
-                    found[p] = runs[p]
-                continue
-            held = []
-            n1 = adj_u[u1]
-            for u2 in adj_v[f[1]]:
-                if u2 == u1:
-                    continue
-                p = (u1, u2) if u1 < u2 else (u2, u1)
-                run = runs.get(p)
-                if run is None:
-                    if p in misses:
-                        continue
-                    intersected += 1
-                    common = n1 & adj_u[u2]
-                    if len(common) < 2:
-                        misses.add(p)
-                        continue
-                    a, b = p
-                    run = []
-                    for x in common:
-                        run += key[a, x], key[b, x]
-                    run = runs[p] = tuple(run)  # no spare slots, as kept
-                held.append(u2)
-                found[p] = run
-            partners[f] = tuple(held)
-        return intersected, kept
+        one of `edges`, all edges of the graph whose right-vertex
+        neighbour sets are `adj_v`. The map holds every bloom, so those
+        through (a, x) are among the pairs {a, b}, b in N(x)."""
+        get = self.get
+        for a, x in edges:
+            for b in adj_v[x]:
+                p = (a, b) if a < b else (b, a)
+                run = get(p)
+                if run is not None:
+                    found[p] = run
 
-    def invalidate(self, graph, e, through):
-        """Drop the entries that an update of e = (u, v) changes, once
-        `graph` is the graph after it; `through` is the flat list of the
-        other three edges of each butterfly through e, as `_start` reads
-        it. That drops the entries of e and of the edges in `through`, and
-        the runs of the pairs (u, u2) for u2 in N(v).
+    def invalidate(self, graph, e):
+        """Re-read the runs that an update of e = (u, v) moves, once
+        `graph` is the graph after it: those of the pairs (u, u2) for u2 in
+        N(v), each pair left with fewer than two common neighbours dropped.
+        Returns how many pairs it re-read, deg(v) - 1 on the graph with e.
 
-        Proof that nothing else changes. The common neighbours of a pair
-        are N(a) & N(b), and only N(u) changes, by v: so only the pairs
-        (u, u2) with v in N(u2) change theirs, each by v alone, and those
-        are the runs dropped. An edge f = (a, x) lists the pairs {a, b}
-        whose common set C holds x and has two or more members, so only
-        those pairs can move its entry. Let C' be C less v, the same on
-        both sides. For x = v, the pair is listed on the side with e
-        exactly when C' is not empty: then {u, u2} x {v, y} is a
-        butterfly through e for each y in C', and f is e or (u2, v). For
-        x != v it is listed on the side without e when x is in C' and C'
-        has two or more members, and on the side with e whenever x is in
-        C'; a move needs C' = {x}, and f is (u, x) or (u2, x) of the
-        butterfly {u, u2} x {v, x}. Either way f is e or in `through`.
-
-        The invariant survives too. A dropped run was a bloom before the
-        update, so C' was not empty, and each edge of that bloom is e or
-        lies in a butterfly {u, u2} x {v, y} with y in C': every entry
-        that lists the pair is dropped with its run."""
+        These are the only runs that move. The common neighbours of a pair
+        {a, b} are N(a) & N(b), and only N(u) changes, by v: so only the
+        pairs (u, u2) with v in N(u2) change theirs, each by v alone."""
         u, v = e
-        partners, runs = self.partners, self.runs
-        partners.pop(e, None)
-        for f in through:
-            partners.pop(f, None)
+        adj_u = graph.adj_u
+        mine = adj_u.get(u, frozenset())
+        pairs = 0
         for u2 in graph.adj_v.get(v, ()):
-            runs.pop((u, u2) if u < u2 else (u2, u), None)
-        if self._key is not None:
-            if graph.has_edge(u, v):
-                self._key[e] = e
+            if u2 == u:
+                continue
+            pairs += 1
+            a, b = p = (u, u2) if u < u2 else (u2, u)
+            common = sorted(mine & adj_u[u2])
+            if len(common) >= 2:
+                self[p] = tuple(w for x in common for w in ((a, x), (b, x)))
             else:
-                self._key.pop(e, None)
+                self.pop(p, None)
+        return pairs
 
 
 class WingDecomposition:
@@ -155,23 +99,49 @@ class WingDecomposition:
     `array('i')`s, bloom i being the flat run `wedges[ends[i-1]:ends[i]]`
     of wedge ids, which are positions in `list(wing_number)`. It holds only
     while the graph is the one peeled: `apply_update` drops it (None).
+    `blooms` is the one reader of that format.
 
-    `bloom_map` is the `BloomMap` that update surgery reads and keeps:
-    per edge, the pairs whose bloom holds it, and per pair the bloom's
-    wedge run. It is empty until the first update, fills as surgery reads
-    edges, and holds across updates made through `apply_update`, each of
-    which drops the entries of its edge, of the other edges of the
-    butterflies through it and the runs of the pairs it changes."""
+    `bloom_map` is the `BloomMap` that update surgery reads: None until the
+    first update fills it from the record, complete from then on, and kept
+    in step by each update made through `apply_update`, which re-reads the
+    runs of the pairs its edge changes."""
 
     def __init__(self, wing_number, support, bloom_runs=None):
         self.wing_number = wing_number
         self.support = support
         self.bloom_runs = bloom_runs
-        self.bloom_map = BloomMap()
+        self.bloom_map = None
 
     @property
     def k_max(self):
         return max(self.wing_number.values(), default=0)
+
+    def blooms(self, graph):
+        """(edges, runs) for `graph`, the graph of these wing numbers: its
+        edges in id order, and `runs()`, which yields each bloom as its
+        flat run of ids (see `BipartiteGraph.blooms`) every time it is
+        called. They come from the bloom record or, with none, from one
+        `graph.blooms()` call."""
+        if self.bloom_runs is not None:
+            edges, (wedges, ends) = list(self.wing_number), self.bloom_runs
+        else:
+            edges, runs = graph.blooms()
+            wedges, ends = array("i"), array("i")
+            for run in runs:
+                wedges.extend(run)
+                ends.append(len(wedges))
+        return edges, lambda: map(wedges.__getitem__,
+                                  map(slice, chain((0,), ends), ends))
+
+    @paused_collector
+    def fill_bloom_map(self, graph):
+        """Give the decomposition the complete `BloomMap` of `graph`: each
+        run of `blooms` with its ids read as the edge tuples they name."""
+        edges, runs = self.blooms(graph)
+        get = edges.__getitem__
+        self.bloom_map = blooms = BloomMap()
+        for run in runs():
+            blooms[get(run[0])[0], get(run[1])[0]] = tuple(map(get, run))
 
 
 @paused_collector

@@ -57,15 +57,13 @@ after every update; on any violation it is rebuilt from scratch and the
 report says so.
 
 Surgery reads those blooms from the decomposition's `BloomMap`, which
-lives across updates: per edge, the left-vertex pairs whose bloom holds
-it, and per pair its flat wedge run, filled the first time an edge is
-read. An update of e = (u, v) moves only the entries of e and of the
-other three edges of each butterfly through e, and the runs of the pairs
-(u, u2) for u2 in N(v) (`BloomMap.invalidate` proves it). They are
-dropped right after an insert puts e in, and right after a delete takes
-it out, once surgery, which runs on G + e, has read them. So a class that
-updates re-form again and again costs no intersection after its first,
-and a cold map costs one intersection per pair per update.
+lives across updates: every left-vertex pair with two or more common
+neighbours, with its flat wedge run. The first update fills it from the
+peel's bloom record. A scope edge (a, x) is read by looking up the pairs
+(a, b) for b in N(x). An update of e = (u, v) moves only the runs of the
+pairs (u, u2) for u2 in N(v) (`BloomMap.invalidate` says why). They are
+re-read right after an insert puts e in, and right after a delete takes
+it out, once surgery, which runs on G + e, has read them.
 """
 
 from collections import Counter, defaultdict, deque
@@ -114,11 +112,10 @@ class UpdateReport:
     walk took in beyond its start), `butterflies_scanned` (butterflies
     read, summed over evaluations) and `settled` (edges an insert left
     outside at their old values, though their caps allowed a rise);
-    `apply_update` adds surgery's `pairs` (left-vertex pairs whose
-    neighbour sets the bloom map intersected, as scope edges it did not
-    hold yet were read), `blooms` (the blooms surgery reads), `cached`
-    (scope edges whose blooms came from the map) and `reformed` (the
-    classes surgery removed, absorbed ones included).
+    `apply_update` adds surgery's `pairs` (left-vertex pairs whose runs
+    the bloom map re-read, deg(v) - 1 on G + e), `blooms` (the blooms
+    surgery reads) and `reformed` (the classes surgery removed, absorbed
+    ones included).
     `apply_update` fills `timings`, the seconds of each of its phases:
     `start`, `walk`, `reclassify`, `patch_counts` and `validate`;
     `apply_update_comp` adds `compress`. When the check after surgery
@@ -446,16 +443,22 @@ def _patch_counts(index, runs, wn, wn_old, class_old):
         add_bloom(delta, run, wn, class_new, 1)
         add_bloom(delta, run, wn_old, class_old, -1)
 
-    counts = index.edge_counts
+    counts, supers = index.edge_counts, index.super_edge_set
+    moved = False  # the adjacency holds while no pair joins or leaves
     for pair, d in delta.items():
         c = counts.get(pair, 0) + d
         if c:
             counts[pair] = c
-            index.super_edge_set.add(pair)
+            if pair not in supers:
+                supers.add(pair)
+                moved = True
         else:
             counts.pop(pair, None)
-            index.super_edge_set.discard(pair)
-    index._adjacency = None
+            if pair in supers:
+                supers.remove(pair)
+                moved = True
+    if moved:
+        index._adjacency = None
 
 
 def _lap(timings, phase, since):
@@ -467,9 +470,10 @@ def _lap(timings, phase, since):
 
 def apply_update(graph, decomp, index, kind, u, v):
     """Apply one edge insert/delete, maintaining graph, decomposition and
-    index in place; the decomposition's bloom record, which no longer
-    holds, is dropped, and its bloom map is read and kept in step; an
-    index loaded without counts first gets those of a fresh build from
+    index in place. The first update fills the decomposition's bloom map
+    from its bloom record, which no longer holds after it and is dropped;
+    every update reads the map and keeps it in step. An index loaded
+    without counts first gets those of a fresh build from
     `rebuild_edge_counts`, which raises unless it is that build up to node
     ids. A delete takes the edge out only once the counts are patched.
     Returns the UpdateReport that `affected_edges` would give, widened by
@@ -486,16 +490,18 @@ def apply_update(graph, decomp, index, kind, u, v):
     insert = kind == "insert"
     if index.edge_counts is None:
         rebuild_edge_counts(index, graph, decomp)
+    if decomp.bloom_map is None:
+        decomp.fill_bloom_map(graph)
+    decomp.bloom_runs = None  # the record holds only for the peeled graph
+    blooms = decomp.bloom_map
     # an inserted e reads level 0 and no class on the old side
     wn_old = defaultdict(int, wn)
     class_old = defaultdict(int, index.per_edge_node)
     t = _lap(report.timings, "start", t)
 
-    decomp.bloom_runs = None  # the record holds only for the peeled graph
-    blooms = decomp.bloom_map
     if insert:
         graph.insert_edge(u, v)
-        blooms.invalidate(graph, e, through)
+        pairs = blooms.invalidate(graph, e)
     _scope(graph, decomp, index, report, through, gain)
 
     sign = 1 if insert else -1
@@ -509,20 +515,18 @@ def apply_update(graph, decomp, index, kind, u, v):
 
     # the scope's blooms feed both surgery passes; those of the classes the
     # union pass absorbs are added. A delete still reads G + e
-    found, misses = {}, set()
-    pairs, cached = blooms.read(graph, wn, report.affected_edges, found,
-                                misses)
+    found = {}
+    blooms.read(graph.adj_v, report.affected_edges, found)
     taken_in = _reclassify(index, wn, report, found.values())
     t = _lap(report.timings, "reclassify", t)
-    more, kept = blooms.read(graph, wn, taken_in, found, misses)
-    report.counters.update(pairs=pairs + more, blooms=len(found),
-                           cached=cached + kept,
-                           reformed=len(report.affected_nodes))
+    blooms.read(graph.adj_v, taken_in, found)
     _patch_counts(index, found.values(), wn, wn_old, class_old)
     if not insert:
         graph.delete_edge(u, v)
-        blooms.invalidate(graph, e, through)
+        pairs = blooms.invalidate(graph, e)
         del decomp.support[e], wn[e]
+    report.counters.update(pairs=pairs, blooms=len(found),
+                           reformed=len(report.affected_nodes))
     t = _lap(report.timings, "patch_counts", t)
 
     # defensive validation; fall back to a scratch rebuild on any violation

@@ -14,8 +14,8 @@ classes within a level by their smallest member edge.
 Both build passes work per bloom, a left-vertex pair u1 < u2 with its
 common neighbours x_i, taken as one flat run of wedge keys a0, b0, a1, b1,
 ..., where a_i = (u1, x_i) and b_i = (u2, x_i). The build reads the runs of
-integer edge ids that the peel recorded (`WingDecomposition.bloom_runs`),
-or that `graph.blooms()` gives when there is no record; updates pass runs
+integer edge ids that `WingDecomposition.blooms` gives, from the peel's
+record or, when there is none, one `graph.blooms()` call; updates pass runs
 of edge tuples to the same two kernels, `form_classes` and `add_bloom`. A
 bloom of two wedges is one butterfly, which both kernels read straight from
 its four edges; a bloom whose edges meet at most one class adds no count,
@@ -48,7 +48,6 @@ or raise; the pause assumes one thread builds or reads at a time.
 """
 
 import hashlib
-from array import array
 from functools import partial, reduce
 from itertools import chain, compress, islice, repeat
 from operator import countOf, iadd, lt
@@ -84,29 +83,36 @@ class SuperNode:
         return f"SuperNode({self.sn_id}, level={self.level}, size={len(self.members)})"
 
 
+def _positions(classes):
+    """Class -> the ascending positions at which `classes`, a list, holds
+    it. Lists, not `array('i')`: an array boxes each position again on
+    every read."""
+    runs = {c: [] for c in set(classes)}
+    for i, c in enumerate(classes):
+        runs[c].append(i)
+    return runs
+
+
 class EdgeOrder:
     """Every edge of the graph an index was built from, in sorted order
-    (`edges`). `runs()` derives each node id's positions in `edges` from
-    the owning index's edge map on first use and keeps them on the order,
+    (`edges`). Each node id's positions in `edges` are kept on the order,
     so they go wherever the order goes: whatever replaces or drops an
-    index's order drops its runs with it."""
+    index's order drops its runs with it. The build passes them in, from
+    `classes`, each edge's class; any other order derives them from the
+    owning index's edge map on first use."""
 
     __slots__ = ("edges", "_runs")
 
-    def __init__(self, edges):
+    def __init__(self, edges, classes=None):
         self.edges = edges
-        self._runs = None
+        self._runs = None if classes is None else _positions(classes)
 
     def runs(self, class_of):
         """Node id (0 for none) -> the ascending positions of its edges in
-        `edges`, read off the edge map `class_of`, kept. Lists, not
-        `array('i')`: an array boxes each position again on every read."""
+        `edges`, read off the edge map `class_of`, kept."""
         if self._runs is None:
-            classes = list(map(class_of.get, self.edges, repeat(0)))
-            runs = {c: [] for c in set(classes)}
-            for i, c in enumerate(classes):
-                runs[c].append(i)
-            self._runs = runs
+            self._runs = _positions(
+                list(map(class_of.get, self.edges, repeat(0))))
         return self._runs
 
 
@@ -390,46 +396,26 @@ def form_classes(index, runs, level, pool, edges=None):
     return formed
 
 
-def _by_id(graph, decomp):
-    """(edges, levels, record): the edges in id order, their wing numbers
-    and the bloom record as `WingDecomposition.bloom_runs` holds it. Given
-    a decomposition with no record, the ids and runs are those of one
-    `graph.blooms()` call."""
-    wn = decomp.wing_number
-    if decomp.bloom_runs is not None:
-        return list(wn), list(wn.values()), decomp.bloom_runs
-    edges, runs = graph.blooms()
-    wedges, ends = array("i"), array("i")
-    for run in runs:
-        wedges.extend(run)
-        ends.append(len(wedges))
-    return edges, [wn.get(e, 0) for e in edges], (wedges, ends)
-
-
-def _runs(wedges, ends):
-    """Each bloom of a record as its flat run of wedge ids."""
-    return map(wedges.__getitem__, map(slice, chain((0,), ends), ends))
-
-
 @paused_collector
 def build_equiwing(graph, decomp=None):
     """The index of `graph` from its decomposition. Both passes, the union
     of each butterfly's min-level edges and the justification counts, read
-    the decomposition's bloom record by edge id; a decomposition without
-    one (after an update) has the blooms enumerated here, once. The index
+    the blooms by edge id from `decomp.blooms`, which enumerates them once
+    when the decomposition has no record (after an update). The index
     keeps the edges in id order as its edge order."""
     decomp = decomp if decomp is not None else wing_decomposition(graph)
-    edges, levels, record = _by_id(graph, decomp)
+    edges, runs = decomp.blooms(graph)
+    levels = list(map(decomp.wing_number.get, edges, repeat(0)))
     index = EquiWingIndex()
     pool = (i for i, w in enumerate(levels) if w >= 1)
-    form_classes(index, _runs(*record), levels, pool, edges)
+    form_classes(index, runs(), levels, pool, edges)
     # the count pass: every super edge's justification count, bloom by bloom
     classes = list(map(index.per_edge_node.get, edges, repeat(0)))
     index.edge_counts = counts = {}
-    for run in _runs(*record):
+    for run in runs():
         add_bloom(counts, run, levels, classes, 1)
     index.super_edge_set = set(counts)
-    index._order = EdgeOrder(edges)
+    index._order = EdgeOrder(edges, classes)
     return index
 
 

@@ -324,16 +324,17 @@ class TestUpdate:
         assert comp.compression_ratio() == pytest.approx(1.0)
 
     def test_comp_update_compresses_once(self, capsys, monkeypatch, g_path,
-                                         ewc_path):
+                                         ewc_path, fig2_path):
         """The updated index is compressed once, after the last mutation;
-        `check_comp`'s compression of the fresh build is not counted."""
+        the only other compression is the check's, of the fresh build."""
         from wingsearch import cli, dynamic
 
+        fresh = serialize(build_equiwing(load_edge_list(fig2_path)[0]))
         calls = []
         real = dynamic.compress
 
         def counting(index):
-            calls.append(index)
+            calls.append(serialize(index))
             return real(index)
 
         monkeypatch.setattr(cli, "compress", counting)
@@ -343,7 +344,8 @@ class TestUpdate:
             str(ewc_path), "--insert", "v4:u6",
         )
         assert code == 0 and "affected_super_nodes 3\n" in out
-        assert len(calls) == 1
+        assert len(calls) == 2
+        assert calls[0] == fresh and calls[1] != fresh
 
     def test_comp_update_equals_the_library_chain(self, capsys, g_path,
                                                   ewc_path):
@@ -367,8 +369,9 @@ class TestUpdate:
     @pytest.mark.parametrize("fmt", ["ew_path", "ewc_path"])
     def test_one_bloom_enumeration(self, capsys, monkeypatch, request,
                                    g_path, fmt):
-        """The peel's bloom record serves the check and, on a comp file,
-        the build: neither enumerates the blooms again."""
+        """The peel's bloom record serves the check, on a comp file the
+        build, and the bloom map the first mutation fills: none enumerates
+        the blooms again, not even after a vertex loses its last edge."""
         index_path = request.getfixturevalue(fmt)
         calls = []
         real = BipartiteGraph.blooms
@@ -380,22 +383,24 @@ class TestUpdate:
         monkeypatch.setattr(BipartiteGraph, "blooms", counting)
         code, out, _ = run(
             capsys, "update", "--graph", str(g_path), "--index",
-            str(index_path), "--insert", "v4:u6", "--delete", "v6:u5",
+            str(index_path), "--insert", "v4:u6", "--delete", "v1:u1",
+            "--delete", "v1:u2",
         )
         assert code == 0 and len(calls) == 1
+        assert "v1" not in g_path.read_text()
         timed = [line.split()[1] for line in out.splitlines()
                  if line.startswith("# ") and " time " in line]
         comp = ["compress"] if fmt == "ewc_path" else []
-        assert timed == ["check", "mutation", "mutation", "total", *comp]
+        assert timed == ["check", *["mutation"] * 3, "total", *comp]
         phases = [line.split()[4::2] for line in out.splitlines()
                   if line.startswith("# mutation ") and " phases " in line]
         assert phases == [["start", "walk", "reclassify", "patch_counts",
-                           "validate"]] * 2
+                           "validate"]] * 3
         counters = [line.split()[4:] for line in out.splitlines()
                     if line.startswith("# mutation ") and " counters " in line]
         assert [c[::2] for c in counters] == [
             ["evaluations", "taken_in", "butterflies_scanned", "settled",
-             "pairs", "blooms", "cached", "reformed"]] * 2
+             "pairs", "blooms", "reformed"]] * 3
         assert all(n.isdigit() for c in counters for n in c[1::2])
         assert " fallback " not in out
 

@@ -1,5 +1,5 @@
-"""The cyclic collector is paused inside the peel, the index build and the
-index reader.
+"""The cyclic collector is paused inside the peel, the index build, the fill
+of the bloom map and the index reader.
 
 Each paused call leaves `gc.isenabled()` as it found it, on success and on
 error alike. No automatic collection runs inside one. And nothing those
@@ -49,6 +49,8 @@ def phases(g, d, bare, plain, comp):
         "build_equiwing": lambda: build_equiwing(g, d),
         "build_equiwing without a record": lambda: build_equiwing(g, bare),
         "build_equiwing with its own peel": lambda: build_equiwing(g),
+        "fill_bloom_map": lambda: d.fill_bloom_map(g),
+        "fill_bloom_map without a record": lambda: bare.fill_bloom_map(g),
         "deserialize": lambda: deserialize(plain),
         "deserialize_comp": lambda: deserialize_comp(comp),
     }

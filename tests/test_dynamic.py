@@ -10,6 +10,7 @@ import pytest
 from wingsearch import (
     BipartiteGraph,
     SuperNode,
+    WingDecomposition,
     affected_edges,
     apply_update,
     apply_update_comp,
@@ -293,20 +294,19 @@ class TestScope:
 
     def test_scope_leaves_a_warm_state_unchanged(self, fig2_graph):
         """`affected_edges` reads and writes nothing kept: not the graph,
-        the decomposition with its bloom map, warmed by earlier updates,
+        the decomposition with its bloom map, filled by earlier updates,
         nor the index."""
         g, d, index = fig2_state(fig2_graph)
         for kind, u, v in [("insert", "v4", "u6"), ("delete", "v7", "u6")]:
             apply_update(g, d, index, kind, u, v)
-        assert d.bloom_map.partners and d.bloom_map.runs
+        assert d.bloom_map
 
         def state():
-            blooms = d.bloom_map
             return (
                 {u: set(vs) for u, vs in g.adj_u.items()},
                 {v: set(us) for v, us in g.adj_v.items()},
                 dict(d.wing_number), dict(d.support), d.bloom_runs,
-                dict(blooms.partners), dict(blooms.runs),
+                dict(d.bloom_map),
                 serialize(index), dict(index.edge_counts),
                 set(index.super_edge_set), dict(index.per_edge_node),
                 {x: set(s) for x, s in index.vertex_seeds.items()},
@@ -746,15 +746,28 @@ class TestCountPatch:
             assert_matches_scratch(g, d, index)
         assert len(g.adj_u["v1"] & g.adj_u["v2"]) == 2
 
+    def test_a_patch_that_moves_no_super_edge_keeps_the_adjacency(
+            self, fig2_graph):
+        """The super-node adjacency is dropped only when a pair joins or
+        leaves the super edges: an edge in no butterfly, in and out again,
+        changes no node and no super edge, and the next read reuses it."""
+        g, d, index = fig2_state(fig2_graph)
+        adj = index.adjacency()
+        for kind in ("insert", "delete"):
+            report = apply_update(g, d, index, kind, "v9", "u9")
+            assert not report.affected_nodes and not report.new_node_ids
+            assert index._adjacency is adj, kind
+        assert_matches_scratch(g, d, index)
+
 
 class TestSurgeryCounters:
     """Surgery's counters against every left-vertex pair of the graph that
-    holds e. It reads the blooms of the scope edges, those of the classes
-    its union pass absorbs included, from the decomposition's bloom map:
-    `cached` counts the edges found there, `pairs` the neighbour-set
-    intersections the rest cost, a pair at most once per update, and
-    `blooms` the pairs read with two or more common neighbours.
-    `reformed` counts the classes surgery removed."""
+    holds e. Surgery reads the blooms of the scope edges, those of the
+    classes its union pass absorbs included, from the decomposition's
+    complete bloom map: `blooms` counts the pairs read, those with two or
+    more common neighbours that hold an edge read. `pairs` counts the
+    pairs whose runs the update re-read, (u, u2) for u2 != u in N(v), so
+    deg(v) - 1 on G + e. `reformed` counts the classes surgery removed."""
 
     @staticmethod
     def meeting(graph, edges):
@@ -767,13 +780,22 @@ class TestSurgeryCounters:
                 out[a, b] = common
         return out
 
+    def check(self, report, holding_e):
+        """The counters of `report` against `holding_e`, the graph with
+        the update's edge."""
+        _u, v = report.edge
+        assert "cached" not in report.counters
+        assert report.counters["pairs"] == len(holding_e.adj_v[v]) - 1
+        met = self.meeting(holding_e, report.affected_edges)
+        assert report.counters["blooms"] == sum(len(c) >= 2
+                                                for c in met.values())
+
     @pytest.mark.parametrize("kind, u, v", [
         ("insert", "v4", "u6"), ("delete", "v7", "u6"),
         ("delete", "v1", "u1"), ("insert", "v9", "u1"),
     ])
     def test_counts_match_a_brute_force(self, fig2_graph, kind, u, v):
-        """On a fresh decomposition the map is cold: each pair that meets
-        the edges read is intersected once."""
+        """The first update of a fresh decomposition, which fills the map."""
         g, d, index = fig2_state(fig2_graph)
         scope = affected_edges(g, d, index, kind, u, v).affected_edges
         before = set(index.nodes)
@@ -781,96 +803,53 @@ class TestSurgeryCounters:
         report = apply_update(g, d, index, kind, u, v)
         if kind == "insert":
             holding_e = g
-        met = self.meeting(holding_e, report.affected_edges)
-        assert report.counters["pairs"] == len(met)
-        assert report.counters["blooms"] == sum(len(c) >= 2
-                                                for c in met.values())
-        assert report.counters["cached"] == 0
+        self.check(report, holding_e)
         assert report.counters["reformed"] == len(before - set(index.nodes))
         assert report.counters["reformed"] == len(report.affected_nodes)
         if (kind, u) == ("delete", "v7"):  # the union pass absorbs a class
             assert report.affected_edges > scope
 
     def test_later_updates_read_the_map(self, fig2_graph):
-        """Each update after the first finds in the map the edges an
-        earlier one read, but for those its invalidation dropped: e and
-        the edges of each butterfly through e, on the graph that holds e,
-        after an insert's edge goes in and after a delete's comes out. A
-        kept run is that of a pair whose common neighbours have not moved
-        since it was read."""
+        """Each update after the first reads the map the first one filled,
+        kept in step: the same object, complete after every update, and
+        with the same counters as a brute force."""
         g, d, index = fig2_state(fig2_graph)
-        edges, runs = set(), {}  # what the map should hold
         ops = [("insert", "v4", "u6"), ("delete", "v7", "u6"),
                ("insert", "v1", "u3"), ("delete", "v1", "u1"),
                ("insert", "v7", "u6")]
-        hits = 0
+        filled = None
         for kind, u, v in ops:
             holding_e = g.copy()
             holding_e.insert_edge(u, v)
-            dropped = {(u, v)} | {f for b in butterflies_through(
-                (u, v), holding_e.sorted_edges()) for f in butterfly_edges(b)}
-            if kind == "insert":
-                edges -= dropped
             report = apply_update(g, d, index, kind, u, v)
-            read = report.affected_edges
-            cold = read - edges
-            met = self.meeting(holding_e, cold)
-            intersected = {p for p in met if runs.get(p) != met[p]}
-            blooms = {p for p, c in self.meeting(holding_e, read).items()
-                      if len(c) >= 2}
-            assert report.counters["cached"] == len(read & edges), kind
-            assert report.counters["pairs"] == len(intersected), kind
-            assert report.counters["blooms"] == len(blooms), kind
-            hits += report.counters["cached"]
-            edges |= read
-            runs.update((p, c) for p, c in met.items() if len(c) >= 2)
-            if kind == "delete":
-                edges -= dropped
-            none = set()
-            runs = {p: c for p, c in runs.items()
-                    if g.adj_u.get(p[0], none) & g.adj_u.get(p[1], none) == c}
-        assert hits > 0
+            self.check(report, holding_e)
+            filled = filled or d.bloom_map
+            assert d.bloom_map is filled, (kind, u, v)
+            assert_bloom_map_complete(g, d)
 
 
-def assert_bloom_map_fresh(graph, decomp):
-    """Each entry the decomposition's bloom map keeps equals a fresh read
-    of the adjacency sets: an edge's pairs, as a set, are those whose
-    common neighbours hold it and number two or more, each with its run;
-    a run's wedges, as a set, are its pair's edges to those neighbours,
-    and each is the decomposition's own tuple, which the map keeps for
-    every edge of the graph and no other."""
-    adj_u, adj_v = graph.adj_u, graph.adj_v
+def assert_bloom_map_complete(graph, decomp):
+    """The decomposition's bloom map holds every bloom of the graph and no
+    other: its keys are exactly the left-vertex pairs u1 < u2 with two or
+    more common neighbours, and each run holds exactly that pair's wedges,
+    (u1, x) then (u2, x) for each common neighbour x, each x once."""
+    want = {}
+    for a, b in itertools.combinations(sorted(graph.adj_u), 2):
+        common = graph.adj_u[a] & graph.adj_u[b]
+        if len(common) >= 2:
+            want[a, b] = common
     blooms = decomp.bloom_map
-    key = {e: e for e in decomp.wing_number}
-    if blooms._key is not None:  # the tuples it takes runs from
-        assert blooms._key == key
-        assert all(key[e] is e for e in blooms._key)
-    for (u1, x), partners in blooms.partners.items():
-        assert graph.has_edge(u1, x), (u1, x)
-        assert len(set(partners)) == len(partners), (u1, x)
-        want = {u2 for u2 in adj_v[x]
-                if u2 != u1 and len(adj_u[u1] & adj_u[u2]) >= 2}
-        assert set(partners) == want, (u1, x)
-        for u2 in partners:
-            assert (min(u1, u2), max(u1, u2)) in blooms.runs, (u1, u2)
-    for (a, b), run in blooms.runs.items():
-        assert a < b
-        common = adj_u.get(a, set()) & adj_u.get(b, set())
-        assert len(common) >= 2, (a, b)
-        assert len(run) == 2 * len(common), (a, b)
-        assert set(run) == {(y, x) for x in common for y in (a, b)}, (a, b)
-        assert all(key[w] is w for w in run), (a, b)
+    assert set(blooms) == set(want)
+    for (a, b), run in blooms.items():
+        xs = [x for _a, x in run[::2]]
+        assert len(xs) == len(want[a, b]) == len(set(xs)), (a, b)
+        assert set(xs) == want[a, b], (a, b)
+        assert list(run) == [w for x in xs for w in ((a, x), (b, x))], (a, b)
 
 
 class TestBloomMap:
-    """The kept bloom map against a fresh read after every update:
-    `invalidate` must drop each entry that an update moves."""
-
-    @staticmethod
-    def warm(graph, decomp):
-        """Read every edge's blooms into the map."""
-        decomp.bloom_map.read(graph, decomp.wing_number, graph.sorted_edges(),
-                              {}, set())
+    """The bloom map against the completeness oracle: filled once, by the
+    first update, and complete after every update."""
 
     @pytest.mark.parametrize("spec", [
         (200, 200, 0.035, 91, [(12, 12, 0.9)] * 2),
@@ -878,12 +857,11 @@ class TestBloomMap:
     ], ids=["1702-edges", "30x30"])
     def test_stream_keeps_every_entry_fresh(self, spec):
         """Seeded updates in undo pairs, then a drift: insert e, delete e,
-        delete f, insert g; the map fills as surgery reads."""
+        delete f, insert g; the oracle runs after every step."""
         g = build(generate_bipartite(*spec))
         d = wing_decomposition(g)
         index = build_equiwing(g, d)
         r = random.Random(23)
-        cached = 0
         for step in range(200):
             if step % 4 == 1:
                 kind = "delete"  # undo the insert before
@@ -897,52 +875,61 @@ class TestBloomMap:
                 kind = "insert"
             report = apply_update(g, d, index, kind, u, v)
             assert report.fell_back is False, step
-            cached += report.counters["cached"]
-            assert_bloom_map_fresh(g, d)
-        assert cached > 0 and d.bloom_map.runs
+            assert_bloom_map_complete(g, d)
         assert_matches_scratch(g, d, index)
 
     def test_insert_gives_a_pair_its_bloom(self, fig2_graph):
         g, d, index = fig2_state(fig2_graph)
         # (v1, v3) share u2 alone; with (v1, u3) they share u2 and u3
         assert g.adj_u["v1"] & g.adj_u["v3"] == {"u2"}
-        self.warm(g, d)
-        assert ("v1", "v3") not in d.bloom_map.runs
+        d.fill_bloom_map(g)
+        assert ("v1", "v3") not in d.bloom_map
         apply_update(g, d, index, "insert", "v1", "u3")
-        assert_bloom_map_fresh(g, d)
-        self.warm(g, d)
-        assert set(d.bloom_map.runs["v1", "v3"]) == {
-            ("v1", "u2"), ("v3", "u2"), ("v1", "u3"), ("v3", "u3")}
-        assert_bloom_map_fresh(g, d)
+        assert d.bloom_map["v1", "v3"] == (
+            ("v1", "u2"), ("v3", "u2"), ("v1", "u3"), ("v3", "u3"))
+        assert_bloom_map_complete(g, d)
 
     def test_delete_takes_a_pair_bloom_away(self, fig2_graph):
         g, d, index = fig2_state(fig2_graph)
         assert g.adj_u["v1"] & g.adj_u["v2"] == {"u1", "u2"}
-        self.warm(g, d)
-        assert ("v1", "v2") in d.bloom_map.runs
+        d.fill_bloom_map(g)
+        assert ("v1", "v2") in d.bloom_map
         apply_update(g, d, index, "delete", "v1", "u1")
-        assert ("v1", "v2") not in d.bloom_map.runs
-        assert_bloom_map_fresh(g, d)
-        self.warm(g, d)
-        assert ("v1", "v2") not in d.bloom_map.runs
+        assert ("v1", "v2") not in d.bloom_map
+        assert_bloom_map_complete(g, d)
         assert_matches_scratch(g, d, index)
 
     def test_delete_of_a_vertex_last_edge(self, fig2_graph):
-        """v1 keeps u2 alone, then loses it; a reinsert reads the graph
-        afresh, under the decomposition's new tuple for the edge."""
+        """v1 keeps u2 alone, then loses it; a reinsert gives it back its
+        bloom with v2."""
         g, d, index = fig2_state(fig2_graph)
-        for u, v in [("v1", "u1"), ("v1", "u2")]:
-            self.warm(g, d)
-            apply_update(g, d, index, "delete", u, v)
-            assert_bloom_map_fresh(g, d)
-        assert "v1" not in g.adj_u
-        self.warm(g, d)
-        for u, v in [("v1", "u2"), ("v1", "u1")]:
-            apply_update(g, d, index, "insert", u, v)
-            assert_bloom_map_fresh(g, d)
-            self.warm(g, d)
-        assert ("v1", "v2") in d.bloom_map.runs
-        assert_bloom_map_fresh(g, d)
+        for kind, u, v in [("delete", "v1", "u1"), ("delete", "v1", "u2"),
+                           ("insert", "v1", "u2"), ("insert", "v1", "u1")]:
+            apply_update(g, d, index, kind, u, v)
+            assert_bloom_map_complete(g, d)
+            if (kind, v) == ("delete", "u2"):
+                assert "v1" not in g.adj_u
+        assert ("v1", "v2") in d.bloom_map
+        assert_matches_scratch(g, d, index)
+
+    def test_a_decomposition_without_a_record(self, fig2_graph, monkeypatch):
+        """A decomposition made from wing numbers and supports alone fills
+        its map from one enumeration of the blooms."""
+        g, peeled, _index = fig2_state(fig2_graph)
+        d = WingDecomposition(dict(peeled.wing_number), dict(peeled.support))
+        index = build_equiwing(g, d)
+        calls = []
+        real = BipartiteGraph.blooms
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(BipartiteGraph, "blooms", counting)
+        assert d.bloom_map is None
+        apply_update(g, d, index, "insert", "v4", "u6")
+        assert len(calls) == 1
+        assert_bloom_map_complete(g, d)
         assert_matches_scratch(g, d, index)
 
 
